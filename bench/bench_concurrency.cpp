@@ -1,7 +1,7 @@
 // PR9 — epoll reactor concurrency sweep.
 //
 // The pooled runtime parked one worker thread per connection, so a node's
-// admission bound was max_workers + max_pending (48 by default): ten
+// admission bound was its worker + backlog slots (48 by default): ten
 // thousand keep-alive connections were simply impossible. The reactor
 // multiplexes every connection onto one event loop, so idle keep-alive
 // sockets cost an epoll registration and a timer-heap entry, not a thread.
@@ -357,7 +357,7 @@ int main(int argc, char** argv) {
   std::uint64_t pooled_shed = 0;
   {
     runtime::MiniClusterOptions options;
-    options.max_connections = 48;  // max_workers + max_pending, the PR3 cap
+    options.max_connections = 48;  // the old pool's admission cap
     const fs::Docbase docs = fs::make_uniform(
         kDocCount, kDocBytes, 1, fs::Placement::kRoundRobin, nullptr, "/docs");
     runtime::MiniCluster cluster(1, docs, options);

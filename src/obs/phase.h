@@ -6,7 +6,7 @@
 // WHICH phase the model got wrong. This module fixes the vocabulary: every
 // request moving through a NodeServer is decomposed into eight phases,
 //
-//   queue_wait    accepted connection waiting for a free worker
+//   queue_wait    accepted connection waiting for the loop's attention
 //   header_read   socket reads/waits until the request head+body arrived
 //   parse         RequestParser::feed time
 //   broker_decide request analysis: board snapshot + choose_node + audit

@@ -33,7 +33,6 @@ MiniCluster::MiniCluster(int num_nodes, const fs::Docbase& docbase,
     cfg.node_id = n;
     cfg.broker = options.broker;
     cfg.max_workers = options.max_workers;
-    cfg.max_pending = options.max_pending;
     cfg.max_connections = options.max_connections;
     cfg.io_timeout = options.io_timeout;
     cfg.heartbeat_period = options.heartbeat_period;

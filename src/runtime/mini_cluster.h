@@ -25,14 +25,11 @@ namespace sweb::runtime {
 /// Cluster-wide knobs forwarded to every NodeServer.
 struct MiniClusterOptions {
   RuntimeBrokerParams broker;
-  /// Worker-pool size per node (NodeServer::Config::max_workers).
+  /// CGI pool size per node (NodeServer::Config::max_workers).
   int max_workers = 16;
-  /// Pending-connection queue cap per node before 503 load shedding
-  /// (NodeServer::Config::max_pending).
-  int max_pending = 32;
-  /// Per-node concurrent-connection cap (NodeServer::Config::max_connections);
-  /// 0 derives max_workers + max_pending, the old pool admission bound.
-  int max_connections = 0;
+  /// Per-node concurrent-connection cap before 503 load shedding
+  /// (NodeServer::Config::max_connections).
+  int max_connections = 48;
   /// Per-request I/O deadline (NodeServer::Config::io_timeout).
   std::chrono::milliseconds io_timeout{2000};
   /// Liveness lease period per node (NodeServer::Config::heartbeat_period):
@@ -94,7 +91,7 @@ class MiniCluster {
     return static_cast<int>(servers_.size());
   }
   [[nodiscard]] std::uint16_t port(int node) const;
-  /// Direct access to one node's server (worker/queue/shed introspection).
+  /// Direct access to one node's server (connection/shed introspection).
   [[nodiscard]] NodeServer& node(int n) {
     return *servers_[static_cast<std::size_t>(n)];
   }

@@ -77,39 +77,33 @@ NodeServer::NodeServer(Config config, const DocStore& docs, LoadBoard& board)
       board_(board),
       overload_(config_.overload),
       listener_(0) {
-  if (config_.registry != nullptr) {
-    const std::string prefix = "node." + std::to_string(config_.node_id);
-    requests_counter_ = &config_.registry->counter(prefix + ".requests");
-    redirects_counter_ = &config_.registry->counter(prefix + ".redirects");
-    errors_counter_ = &config_.registry->counter(prefix + ".errors");
-    shed_counter_ = &config_.registry->counter(prefix + ".shed");
-    err400_counter_ = &config_.registry->counter(prefix + ".err.400");
-    err404_counter_ = &config_.registry->counter(prefix + ".err.404");
-    err408_counter_ = &config_.registry->counter(prefix + ".err.408");
-    err503_counter_ = &config_.registry->counter(prefix + ".err.503");
-    inflight_gauge_ = &config_.registry->gauge(prefix + ".inflight");
-    // 0 = healthy, 1 = brownout, 2 = shedding (OverloadState's values).
-    overload_gauge_ = &config_.registry->gauge(prefix + ".overload_state");
-    shed_cgi_counter_ =
-        &config_.registry->counter(prefix + ".overload.shed_cgi");
-    shed_uncached_counter_ =
-        &config_.registry->counter(prefix + ".overload.shed_uncached");
-    shed_accept_counter_ =
-        &config_.registry->counter(prefix + ".overload.shed_accept");
-    workers_busy_gauge_ =
-        &config_.registry->gauge(prefix + ".workers_busy");
-    queue_depth_gauge_ = &config_.registry->gauge(prefix + ".queue_depth");
-    // The response histogram and every per-phase histogram share the
-    // log-bucket ladder so cross-node merges stay legal (identical bounds)
-    // and one bucket vocabulary covers 10 µs CGI bursts and 60 s stalls.
-    response_histogram_ = &config_.registry->histogram(
-        "http.response_seconds", obs::log_latency_bounds());
-    for (const obs::Phase phase : obs::all_phases()) {
-      phase_hist_[static_cast<std::size_t>(phase)] =
-          &config_.registry->histogram(
-              prefix + ".phase." + obs::phase_name(phase),
-              obs::log_latency_bounds());
-    }
+  if (config_.registry == nullptr) {
+    own_registry_ = std::make_unique<obs::Registry>();
+    config_.registry = own_registry_.get();
+  }
+  obs::Registry& registry = *config_.registry;
+  const std::string prefix = "node." + std::to_string(config_.node_id);
+  requests_ = &registry.counter(prefix + ".requests");
+  handled_ = &registry.counter(prefix + ".handled");
+  redirects_ = &registry.counter(prefix + ".redirects");
+  errors_ = &registry.counter(prefix + ".errors");
+  shed_ = &registry.counter(prefix + ".shed");
+  err400_ = &registry.counter(prefix + ".err.400");
+  err404_ = &registry.counter(prefix + ".err.404");
+  err408_ = &registry.counter(prefix + ".err.408");
+  err503_ = &registry.counter(prefix + ".err.503");
+  shed_cgi_ = &registry.counter(prefix + ".overload.shed_cgi");
+  shed_uncached_ = &registry.counter(prefix + ".overload.shed_uncached");
+  shed_accept_ = &registry.counter(prefix + ".overload.shed_accept");
+  inflight_ = &registry.gauge(prefix + ".inflight");
+  // 0 = healthy, 1 = brownout, 2 = shedding (OverloadState's values).
+  overload_gauge_ = &registry.gauge(prefix + ".overload_state");
+  // Every per-phase histogram shares the log-bucket ladder so cross-node
+  // merges stay legal (identical bounds) and one bucket vocabulary covers
+  // 10 µs CGI bursts and 60 s stalls.
+  for (const obs::Phase phase : obs::all_phases()) {
+    phase_hist_[static_cast<std::size_t>(phase)] = &registry.histogram(
+        prefix + ".phase." + obs::phase_name(phase), obs::log_latency_bounds());
   }
   if (config_.chaos.active()) {
     chaos_.configure(config_.chaos, config_.chaos_seed);
@@ -228,40 +222,9 @@ void NodeServer::heartbeat_loop(const std::stop_token& token) {
   util::set_thread_log_context({});
 }
 
-int NodeServer::connection_cap() const noexcept {
-  if (config_.max_connections > 0) return config_.max_connections;
-  // Back-compat default: the old bounded pool admitted max_workers serving
-  // plus max_pending queued connections.
-  return std::max(1, config_.max_workers) + std::max(1, config_.max_pending);
-}
-
-int NodeServer::workers_busy() const noexcept {
-  return std::min(active_conns_.load(std::memory_order_relaxed),
-                  std::max(1, config_.max_workers));
-}
-
-std::size_t NodeServer::queue_depth() const noexcept {
-  const int beyond = active_conns_.load(std::memory_order_relaxed) -
-                     std::max(1, config_.max_workers);
-  return static_cast<std::size_t>(
-      std::clamp(beyond, 0, std::max(1, config_.max_pending)));
-}
-
 std::chrono::milliseconds NodeServer::read_budget() const noexcept {
   return config_.header_timeout > 0ms ? config_.header_timeout
                                       : config_.io_timeout;
-}
-
-void NodeServer::trace_span(const char* name, std::uint64_t trace_id,
-                            double ts_s, double dur_s) const {
-  obs::TraceSpan span;
-  span.name = name;
-  span.category = "phase";
-  span.ts_s = ts_s;
-  span.dur_s = dur_s;
-  span.pid = config_.node_id;
-  span.tid = static_cast<std::int64_t>(trace_id);
-  config_.tracer->add_span(std::move(span));
 }
 
 // --- The reactor loop ------------------------------------------------------
@@ -344,8 +307,7 @@ void NodeServer::accept_ready() {
     auto stream = listener_.accept_nb();
     if (!stream) return;
     if (shedding) {
-      shed_accept_.fetch_add(1, std::memory_order_relaxed);
-      if (shed_accept_counter_ != nullptr) shed_accept_counter_->inc();
+      shed_accept_->inc();
       shed(std::move(*stream));
       continue;
     }
@@ -376,7 +338,6 @@ void NodeServer::admit(TcpStream stream) {
   conns_.emplace(c.id, std::move(conn));
   active_conns_.store(static_cast<int>(conns_.size()),
                       std::memory_order_relaxed);
-  update_pool_gauges();
   arm_conn_timer(c);
 }
 
@@ -397,12 +358,11 @@ int NodeServer::retry_after_now() const {
 }
 
 void NodeServer::shed(TcpStream stream) {
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  if (shed_counter_ != nullptr) shed_counter_->inc();
+  shed_->inc();
+  err503_->inc();
   // This connection never reaches connection_opened, so the Δ-inflation a
   // redirect placed on this (overloaded) node must be consumed here.
   board_.note_shed(config_.node_id);
-  if (err503_counter_ != nullptr) err503_counter_->inc();
   http::Response busy = http::make_error(http::Status::kServiceUnavailable,
                                          "connection limit reached");
   busy.headers.add("Server", config_.server_name);
@@ -421,17 +381,13 @@ void NodeServer::evaluate_overload() {
   if (state == published_overload_) return;
   published_overload_ = state;
   board_.set_overloaded(config_.node_id, state != OverloadState::kHealthy);
-  if (overload_gauge_ != nullptr) {
-    overload_gauge_->set(static_cast<int>(state));
-  }
+  overload_gauge_->set(static_cast<int>(state));
 }
 
 void NodeServer::force_overload(OverloadState state) {
   overload_.force_state(state, board_.now_seconds());
   board_.set_overloaded(config_.node_id, state != OverloadState::kHealthy);
-  if (overload_gauge_ != nullptr) {
-    overload_gauge_->set(static_cast<int>(state));
-  }
+  overload_gauge_->set(static_cast<int>(state));
 }
 
 http::Response NodeServer::brownout_response(const char* what) const {
@@ -449,14 +405,11 @@ void NodeServer::destroy_conn(std::uint64_t id) {
     board_.connection_closed(config_.node_id, c.board_charge);
     c.charge_open = false;
   }
-  if (c.inflight_marked && inflight_gauge_ != nullptr) {
-    inflight_gauge_->add(-1);
-  }
+  if (c.inflight_marked) inflight_->add(-1);
   if (epoller_ != nullptr) epoller_->remove(c.stream.fd());
   conns_.erase(it);
   active_conns_.store(static_cast<int>(conns_.size()),
                       std::memory_order_relaxed);
-  update_pool_gauges();
 }
 
 void NodeServer::clear_conns() {
@@ -465,22 +418,10 @@ void NodeServer::clear_conns() {
       board_.connection_closed(config_.node_id, conn->board_charge);
       conn->charge_open = false;
     }
-    if (conn->inflight_marked && inflight_gauge_ != nullptr) {
-      inflight_gauge_->add(-1);
-    }
+    if (conn->inflight_marked) inflight_->add(-1);
   }
   conns_.clear();
   active_conns_.store(0, std::memory_order_relaxed);
-  update_pool_gauges();
-}
-
-void NodeServer::update_pool_gauges() {
-  if (workers_busy_gauge_ != nullptr) {
-    workers_busy_gauge_->set(workers_busy());
-  }
-  if (queue_depth_gauge_ != nullptr) {
-    queue_depth_gauge_->set(static_cast<std::int64_t>(queue_depth()));
-  }
 }
 
 void NodeServer::attend(Conn& c) {
@@ -498,7 +439,6 @@ void NodeServer::attend(Conn& c) {
     c.request_start = now;
     c.phase_mark = now;
     c.wait_phase = obs::Phase::kHeaderRead;
-    c.t_parse_start = tracing() ? config_.tracer->now_seconds() : 0.0;
     return;
   }
   if (c.idle_wait) {
@@ -525,7 +465,6 @@ void NodeServer::begin_request_clock(Conn& c) {
   c.request_start = now;
   c.phase_mark = now;
   c.idle_wait = false;
-  c.t_parse_start = tracing() ? config_.tracer->now_seconds() : 0.0;
 }
 
 void NodeServer::start_defer(Conn& c, Conn::State state,
@@ -604,9 +543,8 @@ bool NodeServer::read_timed_out(Conn& c) {
     destroy_conn(c.id);
     return false;
   }
-  err408_.fetch_add(1, std::memory_order_relaxed);
-  if (err408_counter_ != nullptr) err408_counter_->inc();
-  if (errors_counter_ != nullptr) errors_counter_->inc();
+  err408_->inc();
+  errors_->inc();
   http::Response timeout = http::make_error(
       http::Status::kRequestTimeout,
       "request not received within " +
@@ -620,7 +558,6 @@ bool NodeServer::read_timed_out(Conn& c) {
   c.path.clear();
   c.suppress_record = false;
   c.count_handled_on_success = false;  // a 408 counts even if the write fails
-  c.observe_response_hist = false;
   return start_write(c, std::move(timeout), nullptr);
 }
 
@@ -695,15 +632,13 @@ bool NodeServer::drive_read(Conn& c) {
 }
 
 bool NodeServer::finish_parse(Conn& c, http::ParseResult state) {
-  const bool tracing_on = tracing();
   // Resolve the request id only once the request is parsed: a redirected
   // request carries the id its origin node assigned (header or query
   // param), and reusing it is what stitches the two nodes' spans — and
   // the audit's decision/outcome — and the slow log's forensics — into
   // one logical request.
   c.trace_id = 0;
-  if (tracing_on || config_.audit != nullptr ||
-      config_.slow_log != nullptr) {
+  if (tracing() || config_.audit != nullptr || config_.slow_log != nullptr) {
     if (state == http::ParseResult::kComplete) {
       const auto incoming = incoming_request_id(c.parser->message());
       c.trace_id = incoming ? *incoming : next_request_id();
@@ -711,20 +646,13 @@ bool NodeServer::finish_parse(Conn& c, http::ParseResult state) {
       c.trace_id = next_request_id();
     }
   }
-  if (tracing_on) {
-    trace_span("preprocess", c.trace_id, c.t_parse_start,
-               config_.tracer->now_seconds() - c.t_parse_start);
-  }
-  if (requests_counter_ != nullptr) requests_counter_->inc();
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->add(1);
-    c.inflight_marked = true;
-  }
+  requests_->inc();
+  inflight_->add(1);
+  c.inflight_marked = true;
 
   if (state == http::ParseResult::kError) {
-    err400_.fetch_add(1, std::memory_order_relaxed);
-    if (err400_counter_ != nullptr) err400_counter_->inc();
-    if (errors_counter_ != nullptr) errors_counter_->inc();
+    err400_->inc();
+    errors_->inc();
     http::Response bad =
         http::make_error(http::Status::kBadRequest, c.parser->error());
     bad.headers.add("Server", config_.server_name);
@@ -735,7 +663,6 @@ bool NodeServer::finish_parse(Conn& c, http::ParseResult state) {
     c.path.clear();
     c.suppress_record = false;
     c.count_handled_on_success = false;
-    c.observe_response_hist = false;
     c.phase_mark = std::chrono::steady_clock::now();
     return start_write(c, std::move(bad), nullptr);
   }
@@ -756,7 +683,6 @@ bool NodeServer::finish_parse(Conn& c, http::ParseResult state) {
   // the latency story.
   c.suppress_record = request.target.rfind("/sweb/", 0) == 0;
   c.count_handled_on_success = true;
-  c.observe_response_hist = true;
 
   const double attributed_before = c.clock.measured_sum();
   const auto process_start = std::chrono::steady_clock::now();
@@ -781,11 +707,9 @@ bool NodeServer::finish_parse(Conn& c, http::ParseResult state) {
     // could be gone before the handler runs.
     c.state = Conn::State::kCgiWait;
     c.wait_phase = obs::Phase::kCgiExec;
-    c.is_head_cgi = out.is_head;
     c.board_charge = out.board_charge;
     c.charge_open = true;
     c.service_start_s = out.service_start_s;
-    c.t_data_trace_s = out.t_data_trace_s;
     const auto submitted = std::chrono::steady_clock::now();
     pool_->submit(CgiPool::Job{
         c.id, [this, submitted, cgi = out.cgi, req = request,
@@ -825,16 +749,6 @@ void NodeServer::finish_cgi(CgiPool::Result result) {
   if (c.state != Conn::State::kCgiWait) return;
   attend(c);  // the async execution span lands in cgi_exec
   http::Response ok = std::move(result.response);
-  if (c.is_head_cgi) {
-    // HEAD gets the headers the GET would have had, body stripped — same
-    // contract as the static-document path.
-    ok.headers.set("Content-Length", std::to_string(ok.body.size()));
-    ok.body.clear();
-  }
-  if (tracing()) {
-    trace_span("data", c.trace_id, c.t_data_trace_s,
-               config_.tracer->now_seconds() - c.t_data_trace_s);
-  }
   ok.headers.add("X-Sweb-Node", std::to_string(config_.node_id));
   if (c.trace_id != 0) {
     ok.headers.set("X-SWEB-Request-Id", std::to_string(c.trace_id));
@@ -864,6 +778,18 @@ void NodeServer::finish_cgi(CgiPool::Result result) {
 
 bool NodeServer::start_write(Conn& c, http::Response response,
                              std::shared_ptr<const std::string> body) {
+  if (c.method == "HEAD") {
+    // HEAD gets the headers the GET would have had and no body, whichever
+    // path built the response (302, 404, CGI, ...): stray body bytes would
+    // desync a keep-alive connection. A static HEAD arrives body-less with
+    // the document's Content-Length already set.
+    if (!response.body.empty()) {
+      response.headers.set("Content-Length",
+                           std::to_string(response.body.size()));
+      response.body.clear();
+    }
+    body.reset();
+  }
   // Zero-copy hot path: a cache-resident body is gather-written straight
   // from the DocStore's shared buffer (header block + body, one sendmsg at
   // a time) — it is never copied into the response. Everything else ships
@@ -878,7 +804,6 @@ bool NodeServer::start_write(Conn& c, http::Response response,
   c.state = Conn::State::kWriting;
   c.wait_phase = obs::Phase::kWrite;
   c.phase_mark = std::chrono::steady_clock::now();
-  c.t_send_start = tracing() ? config_.tracer->now_seconds() : 0.0;
   if (c.stream.faults_state() == nullptr) {
     c.write_deadline = deadline_after(config_.io_timeout);
     c.has_write_deadline = true;
@@ -957,28 +882,21 @@ bool NodeServer::drive_write(Conn& c) {
 
 bool NodeServer::write_complete(Conn& c, bool ok) {
   lap(c, obs::Phase::kWrite);
-  if (tracing()) {
-    trace_span("send", c.trace_id, c.t_send_start,
-               config_.tracer->now_seconds() - c.t_send_start);
-  }
   const double total_s =
       (c.served == 0 ? c.queue_wait_s : 0.0) +
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     c.request_start)
           .count();
   c.clock.add(obs::Phase::kTotal, total_s);
-  if (c.observe_response_hist && response_histogram_ != nullptr) {
-    response_histogram_->observe(total_s);
-  }
   if (!c.suppress_record) {
     record_phases(c.clock, c.trace_id, c.method, c.path, c.status,
                   c.conn_faulted);
   }
-  if (ok || !c.count_handled_on_success) ++handled_;
+  if (ok || !c.count_handled_on_success) handled_->inc();
   // Work leaving the system: the completion rate prices drain estimates.
   overload_.record_completion(board_.now_seconds());
   if (c.inflight_marked) {
-    if (inflight_gauge_ != nullptr) inflight_gauge_->add(-1);
+    inflight_->add(-1);
     c.inflight_marked = false;
   }
   if (!ok || !c.keep_alive) {
@@ -1014,7 +932,6 @@ void NodeServer::reset_for_next_request(Conn& c) {
   c.queue_wait_s = 0.0;
   c.read_deadline = deadline_after(read_budget());
   c.phase_mark = std::chrono::steady_clock::now();
-  c.t_parse_start = tracing() ? config_.tracer->now_seconds() : 0.0;
 }
 
 int NodeServer::choose_node(int owner, std::string_view path) const {
@@ -1104,9 +1021,8 @@ NodeServer::ProcessOutcome NodeServer::process_request(
 
   const DocStore::Entry* doc = docs_.find(canonical->path);
   if (doc == nullptr) {
-    err404_.fetch_add(1, std::memory_order_relaxed);
-    if (err404_counter_ != nullptr) err404_counter_->inc();
-    if (errors_counter_ != nullptr) errors_counter_->inc();
+    err404_->inc();
+    errors_->inc();
     return finish(http::make_error(http::Status::kNotFound, canonical->path));
   }
   const CgiHandler* cgi = docs_.cgi_for(canonical->path);
@@ -1144,18 +1060,16 @@ NodeServer::ProcessOutcome NodeServer::process_request(
       !not_modified) {
     const char* reject = nullptr;
     if (cgi != nullptr) {
-      shed_cgi_.fetch_add(1, std::memory_order_relaxed);
-      if (shed_cgi_counter_ != nullptr) shed_cgi_counter_->inc();
+      shed_cgi_->inc();
       reject = "brownout: dynamic content shed";
     } else if (config_.caches != nullptr && config_.caches->enabled() &&
                !config_.caches->resident(self, canonical->path)) {
-      shed_uncached_.fetch_add(1, std::memory_order_relaxed);
-      if (shed_uncached_counter_ != nullptr) shed_uncached_counter_->inc();
+      shed_uncached_->inc();
       reject = "brownout: non-resident document shed";
     }
     if (reject != nullptr) {
-      if (err503_counter_ != nullptr) err503_counter_->inc();
-      if (errors_counter_ != nullptr) errors_counter_->inc();
+      err503_->inc();
+      errors_->inc();
       // This request never reaches connection_opened, so any Δ-inflation
       // a redirect placed here is consumed now, same as an accept-path
       // shed — a browned-out node must not stay phantom-inflated.
@@ -1184,9 +1098,6 @@ NodeServer::ProcessOutcome NodeServer::process_request(
   } guard{board_, self, expected};
 
   if (!already_redirected) {
-    const bool tracing_on = tracing();
-    const double t_analysis =
-        tracing_on ? config_.tracer->now_seconds() : 0.0;
     const auto decide_start = std::chrono::steady_clock::now();
     const int target = choose_node(doc->owner, canonical->path);
     if (config_.audit != nullptr && trace_id != 0) {
@@ -1197,15 +1108,11 @@ NodeServer::ProcessOutcome NodeServer::process_request(
               std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - decide_start)
                   .count());
-    if (tracing_on) {
-      trace_span("analysis", trace_id, t_analysis,
-                 config_.tracer->now_seconds() - t_analysis);
-    }
     if (target != self &&
         static_cast<std::size_t>(target) < peer_ports_.size()) {
       board_.note_redirected(self, target);
-      if (redirects_counter_ != nullptr) redirects_counter_->inc();
-      if (tracing_on) {
+      redirects_->inc();
+      if (tracing()) {
         config_.tracer->add_instant(
             "redirect to node " + std::to_string(target), "phase",
             config_.tracer->now_seconds(), self,
@@ -1233,8 +1140,6 @@ NodeServer::ProcessOutcome NodeServer::process_request(
   }
 
   // --- Fulfill -------------------------------------------------------------
-  const bool tracing_on = tracing();
-  const double t_data = tracing_on ? config_.tracer->now_seconds() : 0.0;
   // Shared-clock service start: joined with the origin node's decision
   // timestamp, this is the observed t_redirection.
   const double service_start = board_.now_seconds();
@@ -1247,10 +1152,8 @@ NodeServer::ProcessOutcome NodeServer::process_request(
     out.cgi_pending = true;
     out.cgi = cgi;
     out.query = canonical->query;
-    out.is_head = is_head;
     out.board_charge = expected;
     out.service_start_s = service_start;
-    out.t_data_trace_s = t_data;
     guard.armed = false;
     return out;
   }
@@ -1320,10 +1223,6 @@ NodeServer::ProcessOutcome NodeServer::process_request(
   ok.headers.add("Last-Modified",
                  http::format_http_date(doc->last_modified));
   lap_fulfill();
-  if (tracing_on) {
-    trace_span("data", trace_id, t_data,
-               config_.tracer->now_seconds() - t_data);
-  }
   ok.headers.add("X-Sweb-Node", std::to_string(self));
   if (trace_id != 0) {
     ok.headers.set("X-SWEB-Request-Id", std::to_string(trace_id));
@@ -1339,9 +1238,27 @@ void NodeServer::record_phases(const obs::PhaseClock& clock,
                                const std::string& path, int status,
                                bool chaos_faulted) {
   for (const obs::Phase phase : obs::all_phases()) {
-    const auto i = static_cast<std::size_t>(phase);
-    if (phase_hist_[i] != nullptr && clock.touched(phase)) {
-      phase_hist_[i]->observe(clock.seconds(phase));
+    if (clock.touched(phase)) {
+      phase_hist_[static_cast<std::size_t>(phase)]->observe(
+          clock.seconds(phase));
+    }
+  }
+  if (tracing()) {
+    // The trace speaks the phase vocabulary: one span per entered phase,
+    // carrying its measured duration, laid back to back in taxonomy order
+    // so the last one ends now. (total is the whole row, not a span.)
+    double ts_s = config_.tracer->now_seconds() - clock.measured_sum();
+    for (const obs::Phase phase : obs::all_phases()) {
+      if (phase == obs::Phase::kTotal || !clock.touched(phase)) continue;
+      obs::TraceSpan span;
+      span.name = obs::phase_name(phase);
+      span.category = "phase";
+      span.ts_s = ts_s;
+      span.dur_s = clock.seconds(phase);
+      span.pid = config_.node_id;
+      span.tid = static_cast<std::int64_t>(trace_id);
+      config_.tracer->add_span(std::move(span));
+      ts_s += clock.seconds(phase);
     }
   }
   if (config_.slow_log == nullptr) return;
@@ -1428,10 +1345,6 @@ void NodeServer::record_audit_decision(std::uint64_t request_id, int target,
 }
 
 http::Response NodeServer::metrics_response() const {
-  if (config_.registry == nullptr) {
-    return http::make_error(http::Status::kNotFound,
-                            "no metrics registry attached");
-  }
   http::Response response =
       http::make_ok(obs::prometheus_text(config_.registry->snapshot()),
                     "text/plain; version=0.0.4; charset=utf-8");
@@ -1452,19 +1365,12 @@ http::Response NodeServer::status_response() const {
   w.key("node").value(config_.node_id);
   w.key("server").value(config_.server_name);
   w.key("uptime_seconds").value(uptime);
-  w.key("requests_handled").value(handled_.load());
-  w.key("inflight")
-      .value(inflight_gauge_ != nullptr ? inflight_gauge_->value()
-                                        : std::int64_t{0});
+  w.key("requests_handled").value(requests_handled());
+  w.key("inflight").value(inflight_->value());
   w.key("workers").value(
       static_cast<std::int64_t>(std::max(1, config_.max_workers)));
-  w.key("workers_busy").value(static_cast<std::int64_t>(workers_busy()));
-  w.key("queue_depth").value(static_cast<std::int64_t>(queue_depth()));
-  w.key("max_pending").value(
-      static_cast<std::int64_t>(std::max(1, config_.max_pending)));
-  // The reactor's real admission story: connections held right now, and
-  // the cap past which arrivals are shed. workers_busy/queue_depth above
-  // are views derived from the same count (pool-era dashboard shape).
+  // The admission story: connections held right now, and the cap past
+  // which arrivals are shed.
   w.key("connections")
       .value(static_cast<std::int64_t>(active_connections()));
   w.key("max_connections")
@@ -1475,10 +1381,10 @@ http::Response NodeServer::status_response() const {
   // 503 = load shed (cap/accept refusals plus brownout class rejections).
   // sweb-top sums these into its ERR column.
   w.key("errors_by_reason").begin_object();
-  w.key("400").value(err400_.load());
-  w.key("404").value(err404_.load());
-  w.key("408").value(err408_.load());
-  w.key("503").value(shed_count() + shed_cgi_.load() + shed_uncached_.load());
+  w.key("400").value(err400_->value());
+  w.key("404").value(err404_->value());
+  w.key("408").value(err408_->value());
+  w.key("503").value(err503_->value());
   w.end_object();
   // Overload control: the admission governor's state and the signals it
   // runs on. States: "healthy" | "brownout" | "shedding"; sheds by class
@@ -1493,9 +1399,9 @@ http::Response NodeServer::status_response() const {
   w.key("retry_after_s")
       .value(static_cast<std::int64_t>(retry_after_now()));
   w.key("transitions").value(overload_.transitions());
-  w.key("shed_cgi").value(shed_cgi_.load());
-  w.key("shed_uncached").value(shed_uncached_.load());
-  w.key("shed_accept").value(shed_accept_.load());
+  w.key("shed_cgi").value(shed_cgi_->value());
+  w.key("shed_uncached").value(shed_uncached_->value());
+  w.key("shed_accept").value(shed_accept_->value());
   w.end_object();
   // Chaos: whether this node's link is artificially degraded, and the
   // damage done so far (only present knobs; an inert node reports false/0).
@@ -1516,21 +1422,13 @@ http::Response NodeServer::status_response() const {
   // (count 0 when nothing recorded yet) so scrapers key on a fixed shape.
   w.key("phases").begin_object();
   for (const obs::Phase phase : obs::all_phases()) {
-    const obs::Histogram* hist =
-        phase_hist_[static_cast<std::size_t>(phase)];
+    const auto value = obs::histogram_value(
+        *phase_hist_[static_cast<std::size_t>(phase)]);
     w.key(obs::phase_name(phase)).begin_object();
-    if (hist != nullptr) {
-      const auto value = obs::histogram_value(*hist);
-      w.key("count").value(value.count);
-      w.key("p50_s").value(obs::histogram_quantile(value, 0.50));
-      w.key("p95_s").value(obs::histogram_quantile(value, 0.95));
-      w.key("p99_s").value(obs::histogram_quantile(value, 0.99));
-    } else {
-      w.key("count").value(std::uint64_t{0});
-      w.key("p50_s").value(0.0);
-      w.key("p95_s").value(0.0);
-      w.key("p99_s").value(0.0);
-    }
+    w.key("count").value(value.count);
+    w.key("p50_s").value(obs::histogram_quantile(value, 0.50));
+    w.key("p95_s").value(obs::histogram_quantile(value, 0.95));
+    w.key("p99_s").value(obs::histogram_quantile(value, 0.99));
     w.end_object();
   }
   w.end_object();
@@ -1595,11 +1493,7 @@ http::Response NodeServer::status_response() const {
     w.end_object();
   }
   w.end_array();
-  if (config_.registry != nullptr) {
-    w.key("metrics").raw(config_.registry->to_json());
-  } else {
-    w.key("metrics").raw("null");
-  }
+  w.key("metrics").raw(config_.registry->to_json());
   w.end_object();
 
   http::Response response = http::make_ok(w.str(), "application/json");

@@ -11,25 +11,28 @@
 // (header read -> parse -> serve -> write) that resumes partial reads and
 // writes on readiness, so an idle keep-alive connection costs a few hundred
 // bytes of state instead of a parked thread — concurrency is bounded by
-// Config::max_connections (default max_workers + max_pending, the old
-// pool+backlog cap), not by a thread count. Connections past the cap are
-// shed with 503 Service Unavailable, which is what makes the broker's
-// effective_connections() signal meaningful. Deadlines (the slowloris 408
-// header budget, silent idle keep-alive close, write stalls) live in a
-// min-heap timer wheel with lazy invalidation. CGI handlers — the only
-// CPU-bound stage — run on a small worker pool (Config::max_workers) and
-// hand their responses back to the loop through an eventfd wakeup.
+// Config::max_connections (default 48), not by a thread count. Connections
+// past the cap are shed with 503 Service Unavailable, which is what makes
+// the broker's effective_connections() signal meaningful. Deadlines (the
+// slowloris 408 header budget, silent idle keep-alive close, write stalls)
+// live in a min-heap timer wheel with lazy invalidation. CGI handlers — the
+// only CPU-bound stage — run on a small worker pool (Config::max_workers)
+// and hand their responses back to the loop through an eventfd wakeup.
 //
-// Observability: every node serves GET /sweb/status — a JSON snapshot of
-// its loadd view (each peer's last update and age, Δ-inflation), its own
-// counters, and the attached registry — and GET /sweb/metrics, the same
-// registry in Prometheus text-exposition format. With a SpanTracer
-// attached, each request leaves preprocess/analysis/redirect/data/send
-// spans in real time; the request id is propagated through the 302
-// (`sweb-rid` query param + X-SWEB-Request-Id header) so the origin and
-// target nodes' spans stitch into one logical trace.
+// Observability: each fact has one store. Counters and gauges live in the
+// registry (the attached one, or one the node owns when none is attached);
+// the accessors below read it. Request timing is one PhaseClock per
+// request (obs/phase.h). Every node serves GET /sweb/status — a JSON
+// snapshot of its loadd view (each peer's last update and age,
+// Δ-inflation), its counters, and the registry — and GET /sweb/metrics,
+// the same registry in Prometheus text-exposition format. With a
+// SpanTracer enabled, each recorded request leaves one span per phase it
+// entered, derived from its PhaseClock; the request id is propagated
+// through the 302 (`sweb-rid` query param + X-SWEB-Request-Id header) so
+// the origin and target nodes' spans stitch into one logical trace.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -104,17 +107,10 @@ class NodeServer {
     int max_requests_per_connection = 32;
     /// CGI execution pool: the reactor offloads CGI handlers (the only
     /// CPU-bound stage) to up to this many threads (clamped to >= 1).
-    /// Together with max_pending this also derives the default connection
-    /// cap, preserving the old worker-pool admission arithmetic.
     int max_workers = 16;
-    /// Legacy backlog knob (clamped to >= 1): its only remaining role is
-    /// deriving the default connection cap (max_workers + max_pending) and
-    /// the queue_depth gauge's ceiling.
-    int max_pending = 32;
-    /// Hard cap on concurrently admitted connections; arrivals past it are
-    /// shed with 503. 0 (the default) derives max_workers + max_pending —
-    /// the exact admission bound of the old bounded-pool server.
-    int max_connections = 0;
+    /// Hard cap on concurrently admitted connections (clamped to >= 1);
+    /// arrivals past it are shed with 503.
+    int max_connections = 48;
     /// Liveness lease period: how often this node stamps its own LoadBoard
     /// entry (the paper's 2-3 s loadd tick; sub-second in tests). Each
     /// stamp also runs the board's failure detector, so peers whose stamps
@@ -142,7 +138,8 @@ class NodeServer {
     /// be null — every static response then takes the copy path and the
     /// broker applies no cache discount).
     CacheDirectory* caches = nullptr;
-    /// Optional telemetry sinks (typically the MiniCluster's; may be null).
+    /// Optional telemetry sinks (typically the MiniCluster's; may be null —
+    /// a node without a registry owns one).
     obs::Registry* registry = nullptr;
     obs::SpanTracer* tracer = nullptr;
     /// Shared decision audit: the origin node records the brokered choice,
@@ -205,36 +202,33 @@ class NodeServer {
   /// The injector itself (tests read connections_faulted/resets_injected).
   [[nodiscard]] ChaosDirector& chaos() noexcept { return chaos_; }
 
+  /// Requests answered (node.N.handled).
   [[nodiscard]] std::uint64_t requests_handled() const noexcept {
-    return handled_.load();
+    return handled_->value();
   }
   /// Admitted connections currently held by the reactor.
   [[nodiscard]] int active_connections() const noexcept {
     return active_conns_.load(std::memory_order_relaxed);
   }
   /// The admission cap: connections at/past it are shed with 503.
-  [[nodiscard]] int connection_cap() const noexcept;
-  /// Connections occupying "worker" capacity (0..max_workers) — the old
-  /// pool gauge, now derived: min(active connections, max_workers). Kept
-  /// so dashboards and the shed tests keep their shape.
-  [[nodiscard]] int workers_busy() const noexcept;
-  /// Connections beyond worker capacity but under the cap — the old
-  /// pending-queue gauge, now derived from the same connection count.
-  [[nodiscard]] std::size_t queue_depth() const noexcept;
-  /// Connections answered 503 because the admission cap was reached.
-  [[nodiscard]] std::uint64_t shed_count() const noexcept {
-    return shed_.load();
+  [[nodiscard]] int connection_cap() const noexcept {
+    return std::max(1, config_.max_connections);
   }
-  /// Per-reason client-visible error counts (also in /sweb/status under
-  /// "errors_by_reason"; 503s are shed_count()).
+  /// Connections answered 503 at accept — past the cap, or refused while
+  /// shedding (node.N.shed).
+  [[nodiscard]] std::uint64_t shed_count() const noexcept {
+    return shed_->value();
+  }
+  /// Per-reason client-visible error counts (node.N.err.<code>, also in
+  /// /sweb/status under "errors_by_reason").
   [[nodiscard]] std::uint64_t bad_requests() const noexcept {
-    return err400_.load();
+    return err400_->value();
   }
   [[nodiscard]] std::uint64_t request_timeouts() const noexcept {
-    return err408_.load();
+    return err408_->value();
   }
   [[nodiscard]] std::uint64_t not_found() const noexcept {
-    return err404_.load();
+    return err404_->value();
   }
 
   // --- Overload control ---------------------------------------------------
@@ -252,13 +246,13 @@ class NodeServer {
   void force_overload(OverloadState state);
   /// Brownout rejections by class, plus accepts refused while shedding.
   [[nodiscard]] std::uint64_t overload_shed_cgi() const noexcept {
-    return shed_cgi_.load();
+    return shed_cgi_->value();
   }
   [[nodiscard]] std::uint64_t overload_shed_uncached() const noexcept {
-    return shed_uncached_.load();
+    return shed_uncached_->value();
   }
   [[nodiscard]] std::uint64_t overload_shed_accept() const noexcept {
-    return shed_accept_.load();
+    return shed_accept_->value();
   }
 
  private:
@@ -313,9 +307,6 @@ class NodeServer {
     bool first_attention = true;
     bool idle_wait = false;  // keep-alive think time: gap not charged
     double queue_wait_s = 0.0;
-    double t_parse_start = 0.0;  // tracer timestamps
-    double t_send_start = 0.0;
-    double t_data_trace_s = 0.0;
     std::uint64_t trace_id = 0;
     bool inflight_marked = false;
 
@@ -328,10 +319,8 @@ class NodeServer {
     std::string path;
     bool suppress_record = false;        // /sweb/* scrape exclusion
     bool count_handled_on_success = false;
-    bool observe_response_hist = false;
 
     // CGI handback state.
-    bool is_head_cgi = false;
     std::uint64_t board_charge = 0;
     bool charge_open = false;  // board connection_opened awaiting close
     double service_start_s = 0.0;
@@ -351,10 +340,8 @@ class NodeServer {
     bool cgi_pending = false;
     const CgiHandler* cgi = nullptr;
     std::string query;
-    bool is_head = false;
     std::uint64_t board_charge = 0;  // open connection_opened to close later
     double service_start_s = 0.0;    // board clock at fulfill start
-    double t_data_trace_s = 0.0;     // tracer timestamp for the data span
   };
 
   // --- Reactor loop -------------------------------------------------------
@@ -387,7 +374,6 @@ class NodeServer {
                    std::chrono::milliseconds delay, obs::Phase wait_phase);
   void arm_conn_timer(Conn& conn);
   void finish_cgi(CgiPool::Result result);
-  void update_pool_gauges();
   /// Re-evaluates the overload state machine (once per loop wake) and, on
   /// a transition, publishes it: LoadBoard overload flag + state gauge.
   void evaluate_overload();
@@ -416,8 +402,9 @@ class NodeServer {
                                                std::uint64_t trace_id,
                                                obs::PhaseClock& clock);
   /// Flushes a finished request's phase vector into the per-phase
-  /// histograms and, when it blew the slow budget or rode a chaos-faulted
-  /// connection, into the slow log.
+  /// histograms; with tracing on, into one span per entered phase (laid
+  /// back to back in taxonomy order, ending now); and, when it blew the
+  /// slow budget or rode a chaos-faulted connection, into the slow log.
   void record_phases(const obs::PhaseClock& clock, std::uint64_t trace_id,
                      const std::string& method, const std::string& path,
                      int status, bool chaos_faulted);
@@ -449,9 +436,10 @@ class NodeServer {
   [[nodiscard]] bool tracing() const noexcept {
     return config_.tracer != nullptr && config_.tracer->enabled();
   }
-  void trace_span(const char* name, std::uint64_t trace_id, double ts_s,
-                  double dur_s) const;
 
+  /// Backs config_.registry when none was attached (declared first, so it
+  /// is destroyed after everything that points into it).
+  std::unique_ptr<obs::Registry> own_registry_;
   Config config_;
   const DocStore& docs_;
   LoadBoard& board_;
@@ -472,16 +460,6 @@ class NodeServer {
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::uint64_t next_conn_id_ = 2;  // 0/1 tag the listener and the wakeup
   std::atomic<int> active_conns_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> err400_{0};
-  std::atomic<std::uint64_t> err404_{0};
-  std::atomic<std::uint64_t> err408_{0};
-  std::atomic<std::uint64_t> handled_{0};
-  // Overload sheds by class: brownout rejections (CGI, non-resident
-  // documents) and accepts refused while shedding.
-  std::atomic<std::uint64_t> shed_cgi_{0};
-  std::atomic<std::uint64_t> shed_uncached_{0};
-  std::atomic<std::uint64_t> shed_accept_{0};
   std::atomic<std::uint64_t> local_ids_{1};  // fallback id source, no tracer
   std::chrono::steady_clock::time_point started_at_{};
   // Liveness: the heartbeat thread sleeps on hb_cv_ so a stop request
@@ -492,27 +470,27 @@ class NodeServer {
   bool crashed_ = false;
   bool hung_ = false;
 
-  // Cached registry instruments (null when no registry attached).
-  obs::Counter* requests_counter_ = nullptr;
-  obs::Counter* redirects_counter_ = nullptr;
-  obs::Counter* errors_counter_ = nullptr;
-  obs::Counter* shed_counter_ = nullptr;
+  // Cached registry instruments (never null: the registry always exists).
+  obs::Counter* requests_ = nullptr;
+  obs::Counter* handled_ = nullptr;
+  obs::Counter* redirects_ = nullptr;
+  obs::Counter* errors_ = nullptr;
+  obs::Counter* shed_ = nullptr;
   // Per-reason error counters (node.N.err.400/404/408/503): which kind of
   // degradation a node is suffering, not just how much.
-  obs::Counter* err400_counter_ = nullptr;
-  obs::Counter* err404_counter_ = nullptr;
-  obs::Counter* err408_counter_ = nullptr;
-  obs::Counter* err503_counter_ = nullptr;
-  obs::Gauge* inflight_gauge_ = nullptr;
+  obs::Counter* err400_ = nullptr;
+  obs::Counter* err404_ = nullptr;
+  obs::Counter* err408_ = nullptr;
+  obs::Counter* err503_ = nullptr;
+  // Overload sheds by class: brownout rejections (CGI, non-resident
+  // documents) and accepts refused while shedding.
+  obs::Counter* shed_cgi_ = nullptr;
+  obs::Counter* shed_uncached_ = nullptr;
+  obs::Counter* shed_accept_ = nullptr;
+  obs::Gauge* inflight_ = nullptr;
   obs::Gauge* overload_gauge_ = nullptr;
-  obs::Counter* shed_cgi_counter_ = nullptr;
-  obs::Counter* shed_uncached_counter_ = nullptr;
-  obs::Counter* shed_accept_counter_ = nullptr;
-  obs::Gauge* workers_busy_gauge_ = nullptr;
-  obs::Gauge* queue_depth_gauge_ = nullptr;
-  obs::Histogram* response_histogram_ = nullptr;
   // Per-phase streaming histograms (node.N.phase.<name>, log-bucketed
-  // √2 ladder); null when no registry is attached.
+  // √2 ladder).
   std::array<obs::Histogram*, obs::kPhaseCount> phase_hist_{};
 };
 

@@ -14,6 +14,7 @@
 
 #include "fs/docbase.h"
 #include "http/parser.h"
+#include "obs/json.h"
 #include "obs/registry.h"
 #include "runtime/chaos.h"
 #include "runtime/client.h"
@@ -269,19 +270,19 @@ TEST(Chaos, SlowlorisClientGets408WithinHeaderDeadline) {
   // Answered within the header deadline (plus slack), not io_timeout.
   EXPECT_LT(elapsed_since(start), 1500ms);
   EXPECT_EQ(cluster.node(0).request_timeouts(), 1u);
-  // The worker freed itself: the pool drains back to idle.
-  EXPECT_TRUE(eventually([&] { return cluster.node(0).workers_busy() == 0; }));
+  // The slot freed itself: the node drains back to idle.
+  EXPECT_TRUE(
+      eventually([&] { return cluster.node(0).active_connections() == 0; }));
 }
 
 TEST(Chaos, Shed503CarriesRetryAfterHint) {
   MiniClusterOptions options;
-  options.max_workers = 1;
-  options.max_pending = 1;
+  options.max_connections = 2;
   options.retry_after_hint = 1500ms;  // rounds up to "2" on the wire
   MiniCluster cluster(1, small_docbase(1), options);
   cluster.start();
-  // Two silent connections saturate the worker and the queue; subsequent
-  // ones are shed with 503 + Retry-After by the accept thread.
+  // Two silent connections fill the connection cap; subsequent ones are
+  // shed with 503 + Retry-After at accept.
   std::vector<TcpStream> held;
   std::optional<http::Response> shed_response;
   for (int i = 0; i < 20 && !shed_response.has_value(); ++i) {
@@ -298,6 +299,113 @@ TEST(Chaos, Shed503CarriesRetryAfterHint) {
   EXPECT_EQ(http::code(shed_response->status), 503);
   EXPECT_EQ(shed_response->headers.get("Retry-After"), "2");
   EXPECT_GE(cluster.node(0).shed_count(), 1u);
+}
+
+/// Drives one of each client-visible error through `node`, which must be
+/// capped at one connection with a short header deadline: a slowloris
+/// holds the only slot, so the next arrival is shed (503); the slowloris
+/// then times out (408); a garbage head gets 400 and a miss 404.
+void drive_one_error_of_each_kind(const NodeServer& node) {
+  const SocketAddress address = SocketAddress::loopback(node.port());
+  const auto idle = [&node] { return node.active_connections() == 0; };
+  auto slow = TcpStream::connect(address, 2000ms);
+  ASSERT_TRUE(slow.has_value());
+  ASSERT_TRUE(slow->write_all("G", 500ms));
+  ASSERT_TRUE(eventually([&node] { return node.active_connections() == 1; }));
+  auto refused = TcpStream::connect(address, 2000ms);
+  ASSERT_TRUE(refused.has_value());
+  const auto shed = try_read_response(*refused);
+  ASSERT_TRUE(shed.has_value());
+  EXPECT_EQ(http::code(shed->status), 503);
+  const auto timed_out = try_read_response(*slow);
+  ASSERT_TRUE(timed_out.has_value());
+  EXPECT_EQ(http::code(timed_out->status), 408);
+
+  ASSERT_TRUE(eventually(idle));
+  auto garbage = TcpStream::connect(address, 2000ms);
+  ASSERT_TRUE(garbage.has_value());
+  ASSERT_TRUE(garbage->write_all("GARBAGE\r\n\r\n", 2000ms));
+  const auto bad = try_read_response(*garbage);
+  ASSERT_TRUE(bad.has_value());
+  EXPECT_EQ(http::code(bad->status), 400);
+
+  ASSERT_TRUE(eventually(idle));
+  const auto missing = fetch("http://127.0.0.1:" + std::to_string(node.port()) +
+                             "/docs/no-such-file.html");
+  ASSERT_TRUE(missing.has_value());
+  EXPECT_EQ(http::code(missing->response.status), 404);
+}
+
+TEST(Chaos, NodeWithoutRegistryStillCountsEveryError) {
+  NodeServer::Config cfg;
+  cfg.node_id = 0;
+  cfg.max_connections = 1;
+  cfg.header_timeout = 300ms;
+  ASSERT_EQ(cfg.registry, nullptr);
+  const fs::Docbase docs = small_docbase(1);
+  const DocStore store(docs);
+  LoadBoard board(1);
+  NodeServer server(cfg, store, board);
+  server.set_peer_ports({server.port()});
+  server.start();
+  drive_one_error_of_each_kind(server);
+  EXPECT_EQ(server.shed_count(), 1u);
+  EXPECT_EQ(server.request_timeouts(), 1u);
+  EXPECT_EQ(server.bad_requests(), 1u);
+  EXPECT_EQ(server.not_found(), 1u);
+  // The 408, 400 and 404 were answered; the shed never reached a request.
+  EXPECT_TRUE(
+      eventually([&server] { return server.requests_handled() == 3u; }));
+  server.stop();
+}
+
+TEST(Chaos, EveryCounterHasOneStore) {
+  MiniClusterOptions options;
+  options.max_connections = 1;
+  options.header_timeout = 300ms;
+  MiniCluster cluster(1, small_docbase(1), options);
+  cluster.start();
+  NodeServer& node = cluster.node(0);
+  drive_one_error_of_each_kind(node);
+  ASSERT_TRUE(eventually([&node] { return node.requests_handled() == 3u; }));
+
+  const auto status = fetch("http://127.0.0.1:" +
+                            std::to_string(cluster.port(0)) + "/sweb/status");
+  ASSERT_TRUE(status.has_value());
+  const auto doc = obs::json_parse(status->response.body);
+  ASSERT_TRUE(doc.has_value() && doc->is_object()) << status->response.body;
+  const obs::JsonValue* errors = doc->find("errors_by_reason");
+  const obs::JsonValue* overload = doc->find("overload");
+  ASSERT_TRUE(errors != nullptr && overload != nullptr);
+  obs::Registry& registry = cluster.registry();
+  const auto expect_one_store = [&registry](std::uint64_t accessor,
+                                            const std::string& counter,
+                                            const obs::JsonValue& parent,
+                                            const char* field,
+                                            std::uint64_t expected) {
+    EXPECT_EQ(accessor, expected) << counter;
+    EXPECT_EQ(registry.counter(counter).value(), accessor) << counter;
+    EXPECT_EQ(parent.number_or(field, -1.0), static_cast<double>(accessor))
+        << field;
+  };
+  expect_one_store(node.bad_requests(), "node.0.err.400", *errors, "400", 1);
+  expect_one_store(node.not_found(), "node.0.err.404", *errors, "404", 1);
+  expect_one_store(node.request_timeouts(), "node.0.err.408", *errors, "408",
+                   1);
+  expect_one_store(node.shed_count(), "node.0.shed", *doc, "shed", 1);
+  expect_one_store(registry.counter("node.0.err.503").value(),
+                   "node.0.err.503", *errors, "503", 1);
+  expect_one_store(node.overload_shed_cgi(), "node.0.overload.shed_cgi",
+                   *overload, "shed_cgi", 0);
+  expect_one_store(node.overload_shed_uncached(),
+                   "node.0.overload.shed_uncached", *overload,
+                   "shed_uncached", 0);
+  expect_one_store(node.overload_shed_accept(), "node.0.overload.shed_accept",
+                   *overload, "shed_accept", 0);
+  // The status body was rendered before its own request was counted.
+  EXPECT_EQ(doc->number_or("requests_handled", -1.0), 3.0);
+  ASSERT_TRUE(eventually([&node] { return node.requests_handled() == 4u; }));
+  EXPECT_EQ(registry.counter("node.0.handled").value(), 4u);
 }
 
 TEST(Chaos, StatusReportsErrorsByReasonAndChaosState) {

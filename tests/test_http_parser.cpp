@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 namespace sweb::http {
@@ -292,6 +293,15 @@ struct RoundTripCase {
   int headers;
   int body;
 };
+
+// Gives the case a stable printed form. CTest names value-parameterized tests
+// after GetParam(); gtest's default dump of this struct would put its raw
+// bytes (pointer and padding included) into the name, which then differs
+// from one build to the next.
+void PrintTo(const RoundTripCase& c, std::ostream* os) {
+  *os << to_string(c.method) << ' ' << c.target << " headers=" << c.headers
+      << " body=" << c.body;
+}
 
 class RequestRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 

@@ -9,6 +9,7 @@
 //   * redirected <= 1 reassignment per request.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "cluster/cluster.h"
@@ -31,6 +32,13 @@ struct Scenario {
   double rps;
   std::uint64_t file_size;
 };
+
+// Gives the scenario a short, stable printed form: CTest appends GetParam()
+// to the test name, and gtest's default byte dump of this struct holds
+// pointers that differ from one build to the next.
+void PrintTo(const Scenario& sc, std::ostream* os) {
+  *os << sc.policy << ' ' << sc.rps << "rps";
+}
 
 class SystemInvariants : public ::testing::TestWithParam<Scenario> {};
 

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <string>
+#include <utility>
 
 #include "fs/docbase.h"
 #include "http/parser.h"
@@ -135,6 +136,72 @@ TEST_F(KeepAliveTest, ServerCapsRequestsPerConnection) {
   // Second (= cap) response announces the close.
   EXPECT_EQ(b.headers.get("Connection"), "close");
   server.stop();
+}
+
+TEST(KeepAlive, HeadAnswersCarryNoBodyBytesOnTheWire) {
+  // Every HEAD answer — not just a served document — must stop at its
+  // header block: a 302 or 404 that leaked its HTML body would leave stray
+  // bytes where the next response on the keep-alive connection belongs.
+  MiniCluster cluster(2, fs::make_uniform(6, 2048, 2,
+                                          fs::Placement::kRoundRobin, nullptr,
+                                          "/docs"));
+  cluster.start();
+  auto maybe = TcpStream::connect(SocketAddress::loopback(cluster.port(0)),
+                                  2000ms);
+  ASSERT_TRUE(maybe.has_value());
+  TcpStream stream = std::move(*maybe);
+  std::string pending;  // bytes read past the last parsed response
+  // One keep-alive exchange on node 0; stray bytes stay in `pending`.
+  const auto exchange = [&stream, &pending](http::Method method,
+                                            const std::string& target) {
+    http::Request request;
+    request.method = method;
+    request.target = target;
+    request.headers.add("Connection", "Keep-Alive");
+    EXPECT_TRUE(stream.write_all(request.serialize(), 2000ms));
+    http::ResponseParser parser;
+    parser.expect_head_response(method == http::Method::kHead);
+    http::ParseResult state = http::ParseResult::kNeedMore;
+    std::string data = std::exchange(pending, std::string());
+    for (;;) {
+      if (!data.empty()) {
+        std::size_t consumed = 0;
+        state = parser.feed(data, consumed);
+        if (state != http::ParseResult::kNeedMore) {
+          pending = data.substr(consumed);
+          break;
+        }
+      }
+      const auto chunk = stream.read_some(16 * 1024, 2000ms);
+      if (!chunk.ok || chunk.eof) break;
+      data = chunk.data;
+    }
+    EXPECT_EQ(state, http::ParseResult::kComplete) << parser.error();
+    return parser.message();
+  };
+
+  // file1 is owned by node 1: node 0 answers the HEAD with a 302.
+  const http::Response moved = exchange(http::Method::kHead,
+                                        "/docs/file1.html");
+  EXPECT_EQ(http::code(moved.status), 302);
+  EXPECT_TRUE(moved.headers.has("Location"));
+  ASSERT_TRUE(moved.headers.has("Content-Length"));
+  EXPECT_NE(moved.headers.get("Content-Length"), "0");
+  EXPECT_EQ(pending, "");
+  // The next response on the same socket parses cleanly.
+  EXPECT_EQ(http::code(exchange(http::Method::kGet, "/docs/file0.html")
+                           .status),
+            200);
+
+  const http::Response missing = exchange(http::Method::kHead,
+                                          "/docs/no-such-file.html");
+  EXPECT_EQ(http::code(missing.status), 404);
+  ASSERT_TRUE(missing.headers.has("Content-Length"));
+  EXPECT_NE(missing.headers.get("Content-Length"), "0");
+  EXPECT_EQ(pending, "");
+  EXPECT_EQ(http::code(exchange(http::Method::kGet, "/docs/file0.html")
+                           .status),
+            200);
 }
 
 }  // namespace

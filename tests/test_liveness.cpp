@@ -190,8 +190,7 @@ TEST(Liveness, ShedConnectionConsumesInflationEndToEnd) {
   // itself must consume the Δ a redirect placed on the overloaded node.
   NodeServer::Config cfg;
   cfg.node_id = 0;
-  cfg.max_workers = 1;
-  cfg.max_pending = 1;
+  cfg.max_connections = 2;
   cfg.io_timeout = 5000ms;
   const fs::Docbase docs = small_docbase(1);
   const DocStore store(docs);
@@ -202,13 +201,15 @@ TEST(Liveness, ShedConnectionConsumesInflationEndToEnd) {
   board.note_redirected(0, 0);  // a peer aimed a redirect at this node
   EXPECT_EQ(board.snapshot(0).redirect_inflation, 1);
 
-  // A occupies the single worker, B fills the queue, C is shed with 503.
+  // A and B fill both connection slots, C is shed with 503.
   auto a = TcpStream::connect(SocketAddress::loopback(server.port()), 2000ms);
   ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(eventually([&server] { return server.workers_busy() == 1; }));
+  ASSERT_TRUE(
+      eventually([&server] { return server.active_connections() == 1; }));
   auto b = TcpStream::connect(SocketAddress::loopback(server.port()), 2000ms);
   ASSERT_TRUE(b.has_value());
-  ASSERT_TRUE(eventually([&server] { return server.queue_depth() == 1; }));
+  ASSERT_TRUE(
+      eventually([&server] { return server.active_connections() == 2; }));
   auto c = TcpStream::connect(SocketAddress::loopback(server.port()), 2000ms);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(http::code(read_response(*c).status), 503);

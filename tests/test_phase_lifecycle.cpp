@@ -10,7 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <set>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,6 +33,17 @@ using namespace std::chrono_literals;
 fs::Docbase small_docbase(int nodes) {
   return fs::make_uniform(12, 4096, nodes, fs::Placement::kRoundRobin,
                           nullptr, "/docs");
+}
+
+/// Polls `predicate` until it holds or a 2 s deadline passes.
+template <typename Predicate>
+[[nodiscard]] bool eventually(Predicate predicate) {
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (!predicate()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(2ms);
+  }
+  return true;
 }
 
 /// Fetches and parses one node's /sweb/status document.
@@ -147,6 +158,9 @@ TEST(PhaseLifecycle, ChaosFaultedRecordSharesRidWithTraceSpans) {
   cluster.start();
   ASSERT_TRUE(fetch(cluster.next_base_url() + "/docs/file0.html")
                   .has_value());
+  // Telemetry lands after the last byte is sent.
+  ASSERT_TRUE(eventually(
+      [&cluster] { return cluster.slow_log().total_recorded() >= 1; }));
 
   const std::vector<obs::SlowRequestRecord> records =
       cluster.slow_log().records();
@@ -155,7 +169,9 @@ TEST(PhaseLifecycle, ChaosFaultedRecordSharesRidWithTraceSpans) {
   EXPECT_TRUE(faulted.chaos_faulted);
   EXPECT_NE(faulted.rid, 0u);
   // The forensics record and the Chrome trace describe the same request:
-  // the record's rid is the tid of this request's spans.
+  // the record's rid is the tid of its spans, and those spans are exactly
+  // the record's entered phases (bar total), each lasting what the record
+  // says it lasted.
   std::ostringstream trace;
   cluster.tracer().write_chrome_json(trace);
   const auto doc = obs::json_parse(trace.str());
@@ -163,12 +179,31 @@ TEST(PhaseLifecycle, ChaosFaultedRecordSharesRidWithTraceSpans) {
   const obs::JsonValue* events = doc->find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  std::set<double> tids;
+  std::map<std::string, double> span_dur_s;
   for (const obs::JsonValue& event : events->array) {
-    tids.insert(event.number_or("tid", -1.0));
+    const obs::JsonValue* ph = event.find("ph");
+    if (ph == nullptr || ph->string != "X" ||
+        event.number_or("tid", -1.0) != static_cast<double>(faulted.rid)) {
+      continue;
+    }
+    const obs::JsonValue* name = event.find("name");
+    ASSERT_NE(name, nullptr);
+    span_dur_s[name->string] = event.number_or("dur", -1.0) * 1e-6;
   }
-  EXPECT_TRUE(tids.count(static_cast<double>(faulted.rid)))
-      << "rid " << faulted.rid << " missing from trace tids";
+  std::map<std::string, double> entered_s;
+  for (const obs::Phase phase : obs::all_phases()) {
+    const double seconds = faulted.phase_s[static_cast<std::size_t>(phase)];
+    if (phase != obs::Phase::kTotal && seconds >= 0.0) {
+      entered_s[obs::phase_name(phase)] = seconds;
+    }
+  }
+  ASSERT_FALSE(entered_s.empty());
+  ASSERT_EQ(span_dur_s.size(), entered_s.size())
+      << "rid " << faulted.rid << ": " << trace.str();
+  for (const auto& [name, seconds] : entered_s) {
+    ASSERT_EQ(span_dur_s.count(name), 1u) << name;
+    EXPECT_NEAR(span_dur_s[name], seconds, 1e-6) << name;
+  }
 }
 
 TEST(PhaseLifecycle, SlowLogJsonlSinkRoundTrips) {
@@ -191,7 +226,8 @@ TEST(PhaseLifecycle, SlowLogJsonlSinkRoundTrips) {
       ASSERT_TRUE(
           fetch(cluster.next_base_url() + "/cgi/slow.cgi").has_value());
     }
-    EXPECT_EQ(cluster.slow_log().total_recorded(), 3u);
+    EXPECT_TRUE(eventually(
+        [&cluster] { return cluster.slow_log().total_recorded() == 3; }));
   }
   // Every line is one valid JSON object carrying the forensics fields.
   std::ifstream in(path);

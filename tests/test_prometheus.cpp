@@ -172,7 +172,7 @@ TEST(PrometheusEndpoint, ScrapeParsesEveryLine) {
   EXPECT_GT(expect_valid_exposition(body), 0u);
   EXPECT_NE(body.find("# TYPE sweb_node_0_requests counter"),
             std::string::npos);
-  EXPECT_NE(body.find("# TYPE sweb_http_response_seconds histogram"),
+  EXPECT_NE(body.find("# TYPE sweb_node_0_phase_total histogram"),
             std::string::npos);
   EXPECT_NE(body.find("sweb_broker_audit_joined "), std::string::npos);
 

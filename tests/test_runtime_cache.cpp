@@ -45,6 +45,7 @@ std::optional<RawResult> raw_exchange(std::uint16_t port,
   stream->shutdown_write();
   RawResult out;
   http::ResponseParser parser;
+  parser.expect_head_response(request.method == http::Method::kHead);
   http::ParseResult state = http::ParseResult::kNeedMore;
   while (state == http::ParseResult::kNeedMore) {
     const auto chunk = stream->read_some(8192, std::chrono::seconds(2));

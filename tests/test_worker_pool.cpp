@@ -1,7 +1,7 @@
-// The bounded worker pool: N clients served concurrently per node, one
-// slow client cannot head-of-line-block the rest, and connections past the
-// worker+queue cap are shed with 503 — the runtime analogue of the
-// simulator's connection-limit/backlog model.
+// Concurrent service: N clients served concurrently per node, one slow
+// client cannot head-of-line-block the rest, and connections past the
+// connection cap are shed with 503 — the runtime analogue of the
+// simulator's connection-limit model.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -72,8 +72,8 @@ TEST(WorkerPool, StalledClientDoesNotBlockOtherClients) {
   auto stalled = TcpStream::connect(SocketAddress::loopback(cluster.port(0)),
                                     2000ms);
   ASSERT_TRUE(stalled.has_value());
-  ASSERT_TRUE(
-      eventually([&cluster] { return cluster.node(0).workers_busy() >= 1; }));
+  ASSERT_TRUE(eventually(
+      [&cluster] { return cluster.node(0).active_connections() >= 1; }));
 
   constexpr int kClients = 8;
   std::atomic<int> ok{0};
@@ -137,8 +137,7 @@ TEST(WorkerPool, ConcurrentClientsFinishWellUnderSerialTime) {
 TEST(WorkerPool, ShedsWith503OnlyPastWorkerAndQueueCap) {
   NodeServer::Config cfg;
   cfg.node_id = 0;
-  cfg.max_workers = 1;
-  cfg.max_pending = 1;
+  cfg.max_connections = 2;
   cfg.io_timeout = 5000ms;
   const fs::Docbase docs = small_docbase(1);
   const DocStore store(docs);
@@ -147,18 +146,20 @@ TEST(WorkerPool, ShedsWith503OnlyPastWorkerAndQueueCap) {
   server.set_peer_ports({server.port()});
   server.start();
 
-  // A occupies the single worker (connects, sends nothing).
+  // A takes the first connection slot (connects, sends nothing).
   auto a = TcpStream::connect(SocketAddress::loopback(server.port()), 2000ms);
   ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(eventually([&server] { return server.workers_busy() == 1; }));
+  ASSERT_TRUE(
+      eventually([&server] { return server.active_connections() == 1; }));
 
-  // B fills the one queue slot — accepted, NOT shed.
+  // B takes the last slot — admitted, NOT shed.
   auto b = TcpStream::connect(SocketAddress::loopback(server.port()), 2000ms);
   ASSERT_TRUE(b.has_value());
-  ASSERT_TRUE(eventually([&server] { return server.queue_depth() == 1; }));
+  ASSERT_TRUE(
+      eventually([&server] { return server.active_connections() == 2; }));
   EXPECT_EQ(server.shed_count(), 0u);
 
-  // C exceeds workers + queue: shed with 503 and a closed connection.
+  // C exceeds the cap: shed with 503 and a closed connection.
   auto c = TcpStream::connect(SocketAddress::loopback(server.port()), 2000ms);
   ASSERT_TRUE(c.has_value());
   const http::Response rejected = read_response(*c);
@@ -166,23 +167,24 @@ TEST(WorkerPool, ShedsWith503OnlyPastWorkerAndQueueCap) {
   EXPECT_EQ(rejected.headers.get("Connection"), "close");
   EXPECT_EQ(server.shed_count(), 1u);
 
-  // Drop A: the worker frees up and serves the queued B normally.
+  // Drop A: its slot frees up and the admitted B is served normally.
   a->close();
-  ASSERT_TRUE(eventually([&server] { return server.queue_depth() == 0; }));
+  ASSERT_TRUE(
+      eventually([&server] { return server.active_connections() == 1; }));
   http::Request request;
   request.target = "/docs/file0.html";
   ASSERT_TRUE(b->write_all(request.serialize(), 2000ms));
   b->shutdown_write();
   const http::Response served = read_response(*b);
   EXPECT_EQ(http::code(served.status), 200);
-  EXPECT_EQ(server.shed_count(), 1u);  // B was queued, never shed
+  EXPECT_EQ(server.shed_count(), 1u);  // B was admitted, never shed
   server.stop();
 }
 
 TEST(WorkerPool, ShedExportsCounterAndStatusGauges) {
   MiniClusterOptions options;
   options.max_workers = 1;
-  options.max_pending = 1;
+  options.max_connections = 2;
   options.io_timeout = 3000ms;
   MiniCluster cluster(1, small_docbase(1), options);
   cluster.start();
@@ -190,35 +192,35 @@ TEST(WorkerPool, ShedExportsCounterAndStatusGauges) {
   auto a = TcpStream::connect(SocketAddress::loopback(cluster.port(0)),
                               2000ms);
   ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(
-      eventually([&cluster] { return cluster.node(0).workers_busy() == 1; }));
+  ASSERT_TRUE(eventually(
+      [&cluster] { return cluster.node(0).active_connections() == 1; }));
   auto b = TcpStream::connect(SocketAddress::loopback(cluster.port(0)),
                               2000ms);
   ASSERT_TRUE(b.has_value());
-  ASSERT_TRUE(
-      eventually([&cluster] { return cluster.node(0).queue_depth() == 1; }));
+  ASSERT_TRUE(eventually(
+      [&cluster] { return cluster.node(0).active_connections() == 2; }));
   auto c = TcpStream::connect(SocketAddress::loopback(cluster.port(0)),
                               2000ms);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(http::code(read_response(*c).status), 503);
 
   EXPECT_EQ(cluster.registry().counter("node.0.shed").value(), 1u);
-  EXPECT_EQ(cluster.registry().gauge("node.0.workers_busy").value(), 1);
-  EXPECT_EQ(cluster.registry().gauge("node.0.queue_depth").value(), 1);
+  EXPECT_EQ(cluster.node(0).active_connections(), 2);
 
-  // Free the worker, then /sweb/status must report the pool fields.
+  // Free both slots, then /sweb/status must report the admission fields.
   a->close();
   b->close();
-  ASSERT_TRUE(
-      eventually([&cluster] { return cluster.node(0).workers_busy() == 0; }));
+  ASSERT_TRUE(eventually(
+      [&cluster] { return cluster.node(0).active_connections() == 0; }));
   const auto status = fetch("http://127.0.0.1:" +
                             std::to_string(cluster.port(0)) + "/sweb/status");
   ASSERT_TRUE(status.has_value());
   const std::string& body = status->response.body;
   EXPECT_NE(body.find("\"workers\":1"), std::string::npos) << body;
   EXPECT_NE(body.find("\"shed\":1"), std::string::npos) << body;
-  EXPECT_NE(body.find("\"queue_depth\":"), std::string::npos) << body;
-  EXPECT_NE(body.find("\"workers_busy\":"), std::string::npos) << body;
+  // The status scrape itself holds the one admitted connection.
+  EXPECT_NE(body.find("\"connections\":1"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"max_connections\":2"), std::string::npos) << body;
 }
 
 TEST(WorkerPool, StopDrainsPromptlyWithIdleKeepAliveConnection) {

@@ -40,9 +40,8 @@ struct NodeSample {
   double uptime_s = 0.0;
   std::uint64_t requests_handled = 0;
   std::int64_t inflight = 0;
-  std::int64_t workers = 0;
-  std::int64_t workers_busy = 0;
-  std::int64_t queue_depth = 0;
+  std::int64_t connections = 0;      // admitted right now
+  std::int64_t max_connections = 0;  // the admission cap
   std::uint64_t shed = 0;
   /// Sum of errors_by_reason (400 + 404 + 408 + 503): every client-visible
   /// error this node answered, whatever the cause.
@@ -115,11 +114,10 @@ parse_histogram(const obs::JsonValue& metrics, const char* name) {
   sample.requests_handled =
       static_cast<std::uint64_t>(doc->number_or("requests_handled", 0.0));
   sample.inflight = static_cast<std::int64_t>(doc->number_or("inflight", 0.0));
-  sample.workers = static_cast<std::int64_t>(doc->number_or("workers", 0.0));
-  sample.workers_busy =
-      static_cast<std::int64_t>(doc->number_or("workers_busy", 0.0));
-  sample.queue_depth =
-      static_cast<std::int64_t>(doc->number_or("queue_depth", 0.0));
+  sample.connections =
+      static_cast<std::int64_t>(doc->number_or("connections", 0.0));
+  sample.max_connections =
+      static_cast<std::int64_t>(doc->number_or("max_connections", 0.0));
   sample.shed = static_cast<std::uint64_t>(doc->number_or("shed", 0.0));
   if (const obs::JsonValue* errors = doc->find("errors_by_reason");
       errors != nullptr && errors->is_object()) {
@@ -275,14 +273,21 @@ void render(const std::vector<NodeSample>& samples,
   std::printf("\nswebtop — %zu node(s), poll %d/%d\n", samples.size(), poll,
               total_polls);
   std::printf(
-      "%-5s %5s %8s %8s %9s %7s %6s %5s %5s %8s %7s %7s %9s %9s %9s %5s "
+      "%-5s %5s %8s %8s %9s %9s %5s %5s %8s %7s %7s %9s %9s %9s %5s "
       "%10s %10s\n",
-      "NODE", "AVAIL", "OVLD", "RPS", "INFLIGHT", "WORKERS", "QUEUE", "SHED",
-      "ERR", "SERVED", "REDIR%", "CACHE%", "LAT-P50", "LAT-P95", "LAT-P99",
-      "SLOW", "PERR-P50", "PERR-P95");
+      "NODE", "AVAIL", "OVLD", "RPS", "INFLIGHT", "CONNS", "SHED", "ERR",
+      "SERVED", "REDIR%", "CACHE%", "LAT-P50", "LAT-P95", "LAT-P99", "SLOW",
+      "PERR-P50", "PERR-P95");
+  // connections/max_connections, as one cell.
+  const auto conns_cell = [](std::int64_t conns, std::int64_t cap) {
+    char cell[32];
+    std::snprintf(cell, sizeof cell, "%lld/%lld", static_cast<long long>(conns),
+                  static_cast<long long>(cap));
+    return std::string(cell);
+  };
   double total_rps = 0.0;
   std::int64_t total_inflight = 0;
-  std::int64_t total_busy = 0, total_queue = 0;
+  std::int64_t total_conns = 0, total_cap = 0;
   std::uint64_t total_shed = 0, total_errors = 0;
   std::uint64_t total_served = 0, total_redirected = 0;
   std::uint64_t total_slow = 0;
@@ -294,10 +299,10 @@ void render(const std::vector<NodeSample>& samples,
     if (s.ok && s.available) ++total_up;
     if (!s.ok) {
       std::printf(
-          "%-5zu %5s %8s %8s %9s %7s %6s %5s %5s %8s %7s %7s %9s %9s %9s "
+          "%-5zu %5s %8s %8s %9s %9s %5s %5s %8s %7s %7s %9s %9s %9s "
           "%5s %10s %10s   (unreachable: %s)\n",
           i, avail_cell(samples, i), "-", "-", "-", "-", "-", "-", "-", "-",
-          "-", "-", "-", "-", "-", "-", "-", "-", s.url.c_str());
+          "-", "-", "-", "-", "-", "-", "-", s.url.c_str());
       continue;
     }
     const double rps =
@@ -311,18 +316,14 @@ void render(const std::vector<NodeSample>& samples,
         seen > 0 ? static_cast<double>(s.redirected) /
                        static_cast<double>(seen)
                  : 0.0;
-    char workers_cell[32];
-    std::snprintf(workers_cell, sizeof workers_cell, "%lld/%lld",
-                  static_cast<long long>(s.workers_busy),
-                  static_cast<long long>(s.workers));
     const NodeSample::PhaseStat& lat =
         s.phases[static_cast<std::size_t>(obs::Phase::kTotal)];
     std::printf(
-        "%-5d %5s %8s %8.1f %9lld %7s %6lld %5llu %5llu %8llu %7s %7s %9s "
+        "%-5d %5s %8s %8.1f %9lld %9s %5llu %5llu %8llu %7s %7s %9s "
         "%9s %9s %5llu %10s %10s\n",
         s.node, avail_cell(samples, i), s.overload.c_str(), rps,
-        static_cast<long long>(s.inflight), workers_cell,
-        static_cast<long long>(s.queue_depth),
+        static_cast<long long>(s.inflight),
+        conns_cell(s.connections, s.max_connections).c_str(),
                 static_cast<unsigned long long>(s.shed),
                 static_cast<unsigned long long>(s.errors),
                 static_cast<unsigned long long>(s.served),
@@ -335,8 +336,8 @@ void render(const std::vector<NodeSample>& samples,
                 fmt_ms(s.predict_p95_s).c_str());
     total_rps += rps;
     total_inflight += s.inflight;
-    total_busy += s.workers_busy;
-    total_queue += s.queue_depth;
+    total_conns += s.connections;
+    total_cap += s.max_connections;
     total_shed += s.shed;
     total_errors += s.errors;
     total_served += s.served;
@@ -371,12 +372,11 @@ void render(const std::vector<NodeSample>& samples,
   char up_cell[32];
   std::snprintf(up_cell, sizeof up_cell, "%zu/%zu", total_up, samples.size());
   std::printf(
-      "%-5s %5s %8s %8.1f %9lld %7lld %6lld %5llu %5llu %8llu %7s %7s %9s "
+      "%-5s %5s %8s %8.1f %9lld %9s %5llu %5llu %8llu %7s %7s %9s "
       "%9s %9s %5llu %10s %10s\n",
       "TOTAL", up_cell, total_overload, total_rps,
       static_cast<long long>(total_inflight),
-      static_cast<long long>(total_busy),
-      static_cast<long long>(total_queue),
+      conns_cell(total_conns, total_cap).c_str(),
       static_cast<unsigned long long>(total_shed),
       static_cast<unsigned long long>(total_errors),
       static_cast<unsigned long long>(total_served),
@@ -431,9 +431,8 @@ void append_jsonl(const std::string& path, double t_s,
     w.key("node").value(s.node);
     w.key("requests_handled").value(s.requests_handled);
     w.key("inflight").value(s.inflight);
-    w.key("workers").value(s.workers);
-    w.key("workers_busy").value(s.workers_busy);
-    w.key("queue_depth").value(s.queue_depth);
+    w.key("connections").value(s.connections);
+    w.key("max_connections").value(s.max_connections);
     w.key("shed").value(s.shed);
     w.key("errors").value(s.errors);
     w.key("served").value(s.served);
