@@ -155,11 +155,6 @@ void ChaosDirector::configure(FaultPlan plan, std::uint64_t seed) {
   enabled_ = plan.active();
 }
 
-void ChaosDirector::disable() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  enabled_ = false;
-}
-
 bool ChaosDirector::enabled() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return enabled_;

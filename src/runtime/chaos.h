@@ -143,7 +143,6 @@ class ChaosDirector {
 
   /// Installs (or replaces) the plan; an inactive plan disables injection.
   void configure(FaultPlan plan, std::uint64_t seed = kDefaultSeed);
-  void disable();
   [[nodiscard]] bool enabled() const;
 
   /// Fault state for the next accepted connection; nullptr when disabled

@@ -88,9 +88,8 @@ class LoadBoard {
   void note_served(int node);
   /// `node` answered with a 302 pointing at `target`; the target's apparent
   /// load is inflated until a connection arrives there (or the unit
-  /// expires). Pass target = -1 when unknown (counts the redirect without
-  /// inflating anyone).
-  void note_redirected(int node, int target = -1);
+  /// expires).
+  void note_redirected(int node, int target);
   /// `node` shed a connection with 503 before it ever reached
   /// connection_opened: the Δ-inflation a redirect placed on it is consumed
   /// here instead, so an overloaded node does not stay phantom-inflated.

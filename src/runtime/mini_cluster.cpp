@@ -55,14 +55,6 @@ MiniCluster::MiniCluster(int num_nodes, const fs::Docbase& docbase,
   for (auto& server : servers_) server->set_peer_ports(ports);
 }
 
-MiniCluster::MiniCluster(int num_nodes, const fs::Docbase& docbase,
-                         RuntimeBrokerParams broker)
-    : MiniCluster(num_nodes, docbase, [&broker] {
-        MiniClusterOptions options;
-        options.broker = broker;
-        return options;
-      }()) {}
-
 MiniCluster::~MiniCluster() { stop(); }
 
 void MiniCluster::start() {

@@ -77,9 +77,6 @@ class MiniCluster {
   /// Builds stores + servers for `num_nodes` nodes serving `docbase`.
   MiniCluster(int num_nodes, const fs::Docbase& docbase,
               MiniClusterOptions options = {});
-  /// Convenience: default pool knobs, custom broker.
-  MiniCluster(int num_nodes, const fs::Docbase& docbase,
-              RuntimeBrokerParams broker);
   ~MiniCluster();
   MiniCluster(const MiniCluster&) = delete;
   MiniCluster& operator=(const MiniCluster&) = delete;

@@ -3,15 +3,8 @@
 #include <sys/epoll.h>
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
-#include <limits>
-#include <optional>
 
 #include "http/message.h"
-#include "http/date.h"
-#include "http/mime.h"
-#include "http/url.h"
 #include "obs/json.h"
 #include "obs/prometheus.h"
 #include "util/logging.h"
@@ -32,60 +25,25 @@ constexpr std::size_t kReadChunk = 16 * 1024;
 // with no timers armed.
 constexpr std::chrono::milliseconds kLoopTick{100};
 
-[[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  std::uint64_t value = 0;
-  const auto* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value == 0) return std::nullopt;
-  return value;
-}
-
-/// The request id a redirected request carries back in: the
-/// X-SWEB-Request-Id header, or the `sweb-rid` query parameter (the form
-/// that survives a standard browser following the 302's Location).
-[[nodiscard]] std::optional<std::uint64_t> incoming_request_id(
-    const http::Request& request) {
-  if (const auto header = request.headers.get("X-SWEB-Request-Id")) {
-    if (const auto id = parse_u64(*header)) return id;
-  }
-  const std::string& target = request.target;
-  constexpr std::string_view kParam = "sweb-rid=";
-  for (std::size_t at = target.find(kParam); at != std::string::npos;
-       at = target.find(kParam, at + 1)) {
-    // Require a separator before the key so "xsweb-rid=" doesn't match.
-    if (at > 0 && target[at - 1] != '?' && target[at - 1] != '&') continue;
-    std::size_t end = at + kParam.size();
-    while (end < target.size() &&
-           target[end] >= '0' && target[end] <= '9') {
-      ++end;
-    }
-    if (const auto id =
-            parse_u64(std::string_view(target).substr(at + kParam.size(),
-                                                      end - at -
-                                                          kParam.size()))) {
-      return id;
-    }
-  }
-  return std::nullopt;
-}
-
 }  // namespace
 
 NodeServer::NodeServer(Config config, const DocStore& docs, LoadBoard& board)
-    : config_(std::move(config)),
-      docs_(docs),
+    : own_registry_(config.registry == nullptr
+                        ? std::make_unique<obs::Registry>()
+                        : nullptr),
+      config_(std::move(config)),
       board_(board),
       overload_(config_.overload),
+      handler_(config_.node_id, config_.broker, config_.retry_after_hint,
+               docs, board, config_.caches, overload_,
+               own_registry_ != nullptr ? *own_registry_ : *config_.registry,
+               config_.audit, config_.tracer),
       listener_(0) {
-  if (config_.registry == nullptr) {
-    own_registry_ = std::make_unique<obs::Registry>();
-    config_.registry = own_registry_.get();
-  }
+  if (own_registry_ != nullptr) config_.registry = own_registry_.get();
   obs::Registry& registry = *config_.registry;
   const std::string prefix = "node." + std::to_string(config_.node_id);
   requests_ = &registry.counter(prefix + ".requests");
   handled_ = &registry.counter(prefix + ".handled");
-  redirects_ = &registry.counter(prefix + ".redirects");
   errors_ = &registry.counter(prefix + ".errors");
   shed_ = &registry.counter(prefix + ".shed");
   err400_ = &registry.counter(prefix + ".err.400");
@@ -192,7 +150,7 @@ void NodeServer::hang() {
 
 void NodeServer::recover() {
   if (crashed_) {
-    // Same port: every peer captured it in peer_ports_ at cluster build.
+    // Same port: every peer captured it in set_peer_ports at cluster build.
     listener_ = TcpListener(listener_.port());
     // The rebind built a fresh listener with no chaos attachment — a node
     // that recovered onto a still-degraded link must stay degraded.
@@ -306,16 +264,12 @@ void NodeServer::accept_ready() {
   for (;;) {
     auto stream = listener_.accept_nb();
     if (!stream) return;
-    if (shedding) {
-      shed_accept_->inc();
+    if (shedding) shed_accept_->inc();
+    if (shedding || static_cast<int>(conns_.size()) >= connection_cap()) {
       shed(std::move(*stream));
-      continue;
+    } else {
+      admit(std::move(*stream));
     }
-    if (static_cast<int>(conns_.size()) >= connection_cap()) {
-      shed(std::move(*stream));
-      continue;
-    }
-    admit(std::move(*stream));
   }
 }
 
@@ -341,22 +295,6 @@ void NodeServer::admit(TcpStream stream) {
   arm_conn_timer(c);
 }
 
-int NodeServer::retry_after_now() const {
-  const double hint_s =
-      std::chrono::duration<double>(config_.retry_after_hint).count();
-  if (overload_.enabled()) {
-    // Adaptive: the controller's estimated drain time (in-flight work over
-    // the recent completion rate), so a deep backlog asks the herd to stay
-    // away longer than a graze past the cap does.
-    return overload_.retry_after_seconds(hint_s);
-  }
-  // Whole seconds on the wire (HTTP/1.0 delta-seconds), rounded up so a
-  // sub-second hint never collapses to "retry immediately", and clamped so
-  // a wild hint cannot park clients for minutes.
-  const double whole = std::ceil(std::max(hint_s, 0.0));
-  return static_cast<int>(std::clamp(whole, 1.0, 120.0));
-}
-
 void NodeServer::shed(TcpStream stream) {
   shed_->inc();
   err503_->inc();
@@ -367,7 +305,7 @@ void NodeServer::shed(TcpStream stream) {
                                          "connection limit reached");
   busy.headers.add("Server", config_.server_name);
   busy.headers.set("Connection", "close");
-  busy.headers.set("Retry-After", std::to_string(retry_after_now()));
+  busy.headers.set("Retry-After", std::to_string(handler_.retry_after_s()));
   // Written synchronously from the loop: a fresh connection's send buffer
   // is empty, so this cannot block for long.
   (void)stream.write_all(busy.serialize(), config_.io_timeout);
@@ -388,13 +326,6 @@ void NodeServer::force_overload(OverloadState state) {
   overload_.force_state(state, board_.now_seconds());
   board_.set_overloaded(config_.node_id, state != OverloadState::kHealthy);
   overload_gauge_->set(static_cast<int>(state));
-}
-
-http::Response NodeServer::brownout_response(const char* what) const {
-  http::Response busy =
-      http::make_error(http::Status::kServiceUnavailable, what);
-  busy.headers.set("Retry-After", std::to_string(retry_after_now()));
-  return busy;
 }
 
 void NodeServer::destroy_conn(std::uint64_t id) {
@@ -545,20 +476,23 @@ bool NodeServer::read_timed_out(Conn& c) {
   }
   err408_->inc();
   errors_->inc();
-  http::Response timeout = http::make_error(
-      http::Status::kRequestTimeout,
-      "request not received within " +
-          std::to_string(read_budget().count()) + " ms");
-  timeout.headers.add("Server", config_.server_name);
-  timeout.headers.set("Connection", "close");
   c.trace_id = config_.slow_log != nullptr ? next_request_id() : 0;
+  return write_error(
+      c, http::make_error(http::Status::kRequestTimeout,
+                          "request not received within " +
+                              std::to_string(read_budget().count()) + " ms"));
+}
+
+bool NodeServer::write_error(Conn& c, http::Response response) {
+  response.headers.add("Server", config_.server_name);
+  response.headers.set("Connection", "close");
   c.keep_alive = false;
-  c.status = 408;
+  c.status = static_cast<int>(response.status);
   c.method.clear();
   c.path.clear();
   c.suppress_record = false;
-  c.count_handled_on_success = false;  // a 408 counts even if the write fails
-  return start_write(c, std::move(timeout), nullptr);
+  c.count_handled_on_success = false;  // counts even if the write fails
+  return start_write(c, std::move(response), nullptr);
 }
 
 bool NodeServer::drive_read(Conn& c) {
@@ -653,18 +587,8 @@ bool NodeServer::finish_parse(Conn& c, http::ParseResult state) {
   if (state == http::ParseResult::kError) {
     err400_->inc();
     errors_->inc();
-    http::Response bad =
-        http::make_error(http::Status::kBadRequest, c.parser->error());
-    bad.headers.add("Server", config_.server_name);
-    bad.headers.add("Connection", "close");
-    c.keep_alive = false;
-    c.status = 400;
-    c.method.clear();
-    c.path.clear();
-    c.suppress_record = false;
-    c.count_handled_on_success = false;
-    c.phase_mark = std::chrono::steady_clock::now();
-    return start_write(c, std::move(bad), nullptr);
+    return write_error(c, http::make_error(http::Status::kBadRequest,
+                                           c.parser->error()));
   }
 
   const http::Request& request = c.parser->message();
@@ -686,8 +610,13 @@ bool NodeServer::finish_parse(Conn& c, http::ParseResult state) {
 
   const double attributed_before = c.clock.measured_sum();
   const auto process_start = std::chrono::steady_clock::now();
-  ProcessOutcome out = process_request(request, c.trace_id, c.clock);
-  // Tile the decomposition: whatever process_request spent outside its
+  ProcessOutcome out = handler_.handle(request, c.trace_id, c.clock);
+  if (out.introspection == ProcessOutcome::Introspection::kStatus) {
+    out.response = status_response();
+  } else if (out.introspection == ProcessOutcome::Introspection::kMetrics) {
+    out.response = metrics_response();
+  }
+  // Tile the decomposition: whatever the handler spent outside its
   // timed windows (target analysis, hop detection, completion bookkeeping,
   // error paths) lands in broker_decide — the paper's "SWEB analysis"
   // bucket — so the phase vector sums to the total.
@@ -701,7 +630,7 @@ bool NodeServer::finish_parse(Conn& c, http::ParseResult state) {
   }
   c.phase_mark = std::chrono::steady_clock::now();
 
-  if (out.cgi_pending) {
+  if (out.cgi != nullptr) {
     // Offload the CPU-bound stage; the loop resumes at finish_cgi. The
     // request is copied into the job — the parser (and the connection)
     // could be gone before the handler runs.
@@ -735,11 +664,11 @@ bool NodeServer::finish_parse(Conn& c, http::ParseResult state) {
   // rejected one must get them served — that is the whole brownout
   // bargain. The slot itself is reclaimed by the accept-path shed once the
   // node escalates to kShedding.
-  out.action.response.headers.set("Connection",
-                                  c.keep_alive ? "Keep-Alive" : "close");
-  c.status = static_cast<int>(out.action.response.status);
-  return start_write(c, std::move(out.action.response),
-                     std::move(out.action.body));
+  out.response.headers.add("Server", config_.server_name);
+  out.response.headers.set("Connection",
+                           c.keep_alive ? "Keep-Alive" : "close");
+  c.status = static_cast<int>(out.response.status);
+  return start_write(c, std::move(out.response), std::move(out.body));
 }
 
 void NodeServer::finish_cgi(CgiPool::Result result) {
@@ -749,27 +678,9 @@ void NodeServer::finish_cgi(CgiPool::Result result) {
   if (c.state != Conn::State::kCgiWait) return;
   attend(c);  // the async execution span lands in cgi_exec
   http::Response ok = std::move(result.response);
-  ok.headers.add("X-Sweb-Node", std::to_string(config_.node_id));
-  if (c.trace_id != 0) {
-    ok.headers.set("X-SWEB-Request-Id", std::to_string(c.trace_id));
-  }
-  board_.note_served(config_.node_id);
-  if (config_.audit != nullptr && c.trace_id != 0) {
-    obs::Observation observation;
-    observation.service_start_ts_s = c.service_start_s;
-    observation.completion_ts_s = board_.now_seconds();
-    observation.t_data = c.clock.touched(obs::Phase::kDocRead)
-                             ? c.clock.seconds(obs::Phase::kDocRead)
-                             : 0.0;
-    observation.t_cpu = c.clock.touched(obs::Phase::kCgiExec)
-                            ? c.clock.seconds(obs::Phase::kCgiExec)
-                            : 0.0;
-    config_.audit->record_outcome(c.trace_id, observation);
-  }
-  if (c.charge_open) {
-    board_.connection_closed(config_.node_id, c.board_charge);
-    c.charge_open = false;
-  }
+  handler_.complete_cgi(ok, c.trace_id, c.board_charge, c.service_start_s,
+                        c.clock);
+  c.charge_open = false;
   ok.headers.add("Server", config_.server_name);
   ok.headers.set("Connection", c.keep_alive ? "Keep-Alive" : "close");
   c.status = static_cast<int>(ok.status);
@@ -934,304 +845,6 @@ void NodeServer::reset_for_next_request(Conn& c) {
   c.phase_mark = std::chrono::steady_clock::now();
 }
 
-int NodeServer::choose_node(int owner, std::string_view path) const {
-  const int self = config_.node_id;
-  if (!config_.broker.enable_redirects) return self;
-  const std::vector<NodeLoad> loads = board_.snapshot_all();
-  // Cache-aware placement: a candidate holding the document resident
-  // serves it from RAM over the zero-copy path, so its apparent load gets
-  // a configurable discount (the heterogeneous-balancing literature's
-  // "affinity" term). Off unless a directory is attached and the knob set.
-  const CacheDirectory* caches =
-      config_.broker.cache_hit_discount > 0.0 ? config_.caches : nullptr;
-  // Δ-inflation included: redirects already aimed at a node count as load
-  // even before their connections arrive (the unsynchronized-herd guard).
-  // Bytes in flight weigh in too, scaled to connection units, so a node
-  // streaming a few large documents does not masquerade as idle.
-  const auto load_of = [&](int n) {
-    const NodeLoad& l = loads[static_cast<std::size_t>(n)];
-    double load = static_cast<double>(l.effective_connections());
-    if (config_.broker.bytes_per_connection > 0.0) {
-      load += static_cast<double>(l.bytes_in_flight) /
-              config_.broker.bytes_per_connection;
-    }
-    if (caches != nullptr && caches->resident(n, path)) {
-      load -= config_.broker.cache_hit_discount;
-    }
-    return load;
-  };
-  // File locality first: the owner serves from its "local disk" unless it
-  // is clearly busier than we are — or browned out: a peer that is
-  // shedding by class must not be handed fresh work, even its own files.
-  if (owner != self && owner >= 0 &&
-      owner < static_cast<int>(loads.size()) &&
-      loads[static_cast<std::size_t>(owner)].available &&
-      !loads[static_cast<std::size_t>(owner)].overloaded &&
-      load_of(owner) <=
-          load_of(self) + config_.broker.locality_pull_threshold) {
-    return owner;
-  }
-  // Otherwise balance on connection-equivalent load. Overloaded peers are
-  // skipped outright (their own admission gate would just 503 the hop);
-  // self stays eligible — serving locally, even degraded, beats bouncing
-  // the client into a wall.
-  int best = self;
-  double best_load = load_of(self);
-  for (int n = 0; n < static_cast<int>(loads.size()); ++n) {
-    if (n == self || !loads[static_cast<std::size_t>(n)].available ||
-        loads[static_cast<std::size_t>(n)].overloaded) {
-      continue;
-    }
-    if (load_of(n) + config_.broker.min_connection_advantage <= best_load) {
-      best = n;
-      best_load = load_of(n);
-    }
-  }
-  return best;
-}
-
-NodeServer::ProcessOutcome NodeServer::process_request(
-    const http::Request& request, std::uint64_t trace_id,
-    obs::PhaseClock& clock) {
-  const int self = config_.node_id;
-  ProcessOutcome out;
-  const auto finish = [&](http::Response response) {
-    response.headers.add("Server", config_.server_name);
-    out.action.response = std::move(response);
-    return std::move(out);
-  };
-
-  const bool is_post = request.method == http::Method::kPost;
-  if (request.method != http::Method::kGet &&
-      request.method != http::Method::kHead && !is_post) {
-    return finish(http::make_error(http::Status::kNotImplemented));
-  }
-  const auto canonical = http::canonicalize_target(request.target);
-  if (!canonical) {
-    return finish(http::make_error(http::Status::kBadRequest, "bad target"));
-  }
-
-  // --- Introspection: every node answers for itself ---------------------
-  if (canonical->path == "/sweb/status") {
-    return finish(status_response());
-  }
-  if (canonical->path == "/sweb/metrics") {
-    return finish(metrics_response());
-  }
-
-  const DocStore::Entry* doc = docs_.find(canonical->path);
-  if (doc == nullptr) {
-    err404_->inc();
-    errors_->inc();
-    return finish(http::make_error(http::Status::kNotFound, canonical->path));
-  }
-  const CgiHandler* cgi = docs_.cgi_for(canonical->path);
-  if (is_post && cgi == nullptr) {
-    // POST only makes sense against a dynamic endpoint.
-    return finish(http::make_error(http::Status::kNotImplemented,
-                                   "POST to static content"));
-  }
-
-  // --- Analyze & possibly redirect ---------------------------------------
-  // The at-most-once marker must survive a standard browser following the
-  // 302, so it travels in the redirect URL's query string (clients that
-  // set the X-Sweb-Redirected header are honored too).
-  const bool already_redirected =
-      request.headers.has("X-Sweb-Redirected") ||
-      canonical->query.find("sweb-hop=1") != std::string::npos;
-  const bool is_head = request.method == http::Method::kHead;
-  // Conditional-GET freshness is decided up front because it changes what
-  // this request costs, not just what it answers.
-  bool not_modified = false;
-  if (cgi == nullptr && !is_head) {
-    if (const auto ims = request.headers.get("If-Modified-Since")) {
-      const auto since = http::parse_http_date(*ims);
-      not_modified = since.has_value() && doc->last_modified <= *since;
-    }
-  }
-  // --- Brownout admission gate -------------------------------------------
-  // Past healthy, the node keeps doing only cheap work: HEAD and 304
-  // answers move headers, cache-resident documents go out zero-copy from
-  // RAM. CGI — the CPU-bound class — and documents that would need the
-  // copy path are rejected with 503 + Retry-After; the LoadBoard overload
-  // flag published alongside the state makes every peer's broker route
-  // new 302 assignments around this node while it degrades.
-  if (overload_.state() != OverloadState::kHealthy && !is_head &&
-      !not_modified) {
-    const char* reject = nullptr;
-    if (cgi != nullptr) {
-      shed_cgi_->inc();
-      reject = "brownout: dynamic content shed";
-    } else if (config_.caches != nullptr && config_.caches->enabled() &&
-               !config_.caches->resident(self, canonical->path)) {
-      shed_uncached_->inc();
-      reject = "brownout: non-resident document shed";
-    }
-    if (reject != nullptr) {
-      err503_->inc();
-      errors_->inc();
-      // This request never reaches connection_opened, so any Δ-inflation
-      // a redirect placed here is consumed now, same as an accept-path
-      // shed — a browned-out node must not stay phantom-inflated.
-      board_.note_shed(self);
-      return finish(brownout_response(reject));
-    }
-  }
-
-  // Charge the board the body bytes this node will actually write: HEAD
-  // and 304 answers move headers only, and a CGI entry's static size is
-  // zero (its body is the handler's business). Charging doc->size()
-  // unconditionally left phantom bytes_in_flight on every HEAD/304 —
-  // skewing each peer's redirect arithmetic and the audit's t_data
-  // prediction.
-  const std::uint64_t expected =
-      (is_head || not_modified) ? 0 : doc->size();
-  board_.connection_opened(self, expected);
-  struct ConnectionGuard {
-    LoadBoard& board;
-    int node;
-    std::uint64_t bytes;
-    bool armed = true;
-    ~ConnectionGuard() {
-      if (armed) board.connection_closed(node, bytes);
-    }
-  } guard{board_, self, expected};
-
-  if (!already_redirected) {
-    const auto decide_start = std::chrono::steady_clock::now();
-    const int target = choose_node(doc->owner, canonical->path);
-    if (config_.audit != nullptr && trace_id != 0) {
-      record_audit_decision(trace_id, target,
-                            static_cast<double>(expected));
-    }
-    clock.add(obs::Phase::kBrokerDecide,
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - decide_start)
-                  .count());
-    if (target != self &&
-        static_cast<std::size_t>(target) < peer_ports_.size()) {
-      board_.note_redirected(self, target);
-      redirects_->inc();
-      if (tracing()) {
-        config_.tracer->add_instant(
-            "redirect to node " + std::to_string(target), "phase",
-            config_.tracer->now_seconds(), self,
-            static_cast<std::int64_t>(trace_id));
-      }
-      // The at-most-once marker and the request id both ride the Location
-      // query string: they must survive a standard browser that follows
-      // the 302 without copying any custom headers.
-      std::string query = canonical->query.empty()
-                              ? "sweb-hop=1"
-                              : canonical->query + "&sweb-hop=1";
-      if (trace_id != 0) {
-        query += "&sweb-rid=" + std::to_string(trace_id);
-      }
-      const std::string location =
-          "http://127.0.0.1:" +
-          std::to_string(peer_ports_[static_cast<std::size_t>(target)]) +
-          canonical->path + "?" + query;
-      http::Response moved = http::make_redirect(location);
-      if (trace_id != 0) {
-        moved.headers.set("X-SWEB-Request-Id", std::to_string(trace_id));
-      }
-      return finish(std::move(moved));
-    }
-  }
-
-  // --- Fulfill -------------------------------------------------------------
-  // Shared-clock service start: joined with the origin node's decision
-  // timestamp, this is the observed t_redirection.
-  const double service_start = board_.now_seconds();
-  if (cgi != nullptr) {
-    // Dynamic content is the CPU-bound stage: hand what the reactor needs
-    // to run the handler on the CGI pool and finish on handback. The board
-    // charge stays open across the asynchronous execution — ownership
-    // moves to the connection (closed at finish_cgi, or when a dying
-    // connection is destroyed).
-    out.cgi_pending = true;
-    out.cgi = cgi;
-    out.query = canonical->query;
-    out.board_charge = expected;
-    out.service_start_s = service_start;
-    guard.armed = false;
-    return out;
-  }
-  const auto fulfill_start = std::chrono::steady_clock::now();
-  // A static request's content assembly is doc_read (the paper's t_data).
-  const auto lap_fulfill = [&] {
-    clock.add(obs::Phase::kDocRead,
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - fulfill_start)
-                  .count());
-  };
-  const auto record_outcome = [&] {
-    if (config_.audit == nullptr || trace_id == 0) return;
-    obs::Observation observation;
-    observation.service_start_ts_s = service_start;
-    observation.completion_ts_s = board_.now_seconds();
-    // Join the measured phases: doc_read is the observed t_data. A phase
-    // the request never entered reports 0 (the cost genuinely not paid),
-    // matching the predictor's cost terms.
-    observation.t_data =
-        clock.touched(obs::Phase::kDocRead)
-            ? clock.seconds(obs::Phase::kDocRead)
-            : 0.0;
-    observation.t_cpu =
-        clock.touched(obs::Phase::kCgiExec)
-            ? clock.seconds(obs::Phase::kCgiExec)
-            : 0.0;
-    config_.audit->record_outcome(trace_id, observation);
-  };
-  http::Response ok;
-  // Conditional GET: an If-Modified-Since at or after the document's
-  // mtime earns a body-less 304 (NCSA httpd supported this in 1994).
-  if (not_modified) {
-    http::Response fresh;
-    fresh.status = http::Status::kNotModified;
-    fresh.headers.add("Last-Modified",
-                      http::format_http_date(doc->last_modified));
-    fresh.headers.add("X-Sweb-Node", std::to_string(self));
-    board_.note_served(self);
-    lap_fulfill();
-    record_outcome();
-    return finish(std::move(fresh));
-  }
-  const std::string mime(http::mime_type_for_path(canonical->path));
-  NodeCache* cache =
-      config_.caches != nullptr && config_.caches->enabled()
-          ? &config_.caches->node(self)
-          : nullptr;
-  if (is_head) {
-    ok = http::make_ok(std::string(), mime);
-    ok.headers.set("Content-Length", std::to_string(doc->size()));
-  } else if (cache != nullptr && cache->lookup(canonical->path)) {
-    // Hot path: the document is resident, so the response carries no
-    // body of its own — the writer gather-writes the preserialized
-    // header block and the DocStore's shared buffer (zero copies).
-    ok.status = http::Status::kOk;
-    ok.headers.add("Content-Type", mime);
-    ok.headers.add("Content-Length", std::to_string(doc->size()));
-    out.action.body = doc->content;
-  } else {
-    // Cold/evicted: the per-request copy stands in for the disk read
-    // (this is the doc_read cost a cache hit skips), then the document
-    // is admitted so the next request hits.
-    ok = http::make_ok(std::string(*doc->content), mime);
-    if (cache != nullptr) cache->insert(canonical->path, doc->size());
-  }
-  ok.headers.add("Last-Modified",
-                 http::format_http_date(doc->last_modified));
-  lap_fulfill();
-  ok.headers.add("X-Sweb-Node", std::to_string(self));
-  if (trace_id != 0) {
-    ok.headers.set("X-SWEB-Request-Id", std::to_string(trace_id));
-  }
-  board_.note_served(self);
-  record_outcome();
-  return finish(ok);
-}
-
 void NodeServer::record_phases(const obs::PhaseClock& clock,
                                std::uint64_t trace_id,
                                const std::string& method,
@@ -1294,56 +907,6 @@ std::uint64_t NodeServer::next_request_id() {
   return local_ids_.fetch_add(1, std::memory_order_relaxed);
 }
 
-obs::CostPrediction NodeServer::predict_cost(
-    int candidate, double size_bytes,
-    const std::vector<NodeLoad>& loads) const {
-  const RuntimeBrokerParams& p = config_.broker;
-  const double queue =
-      candidate >= 0 && candidate < static_cast<int>(loads.size())
-          ? static_cast<double>(
-                loads[static_cast<std::size_t>(candidate)]
-                    .effective_connections())
-          : 0.0;
-  obs::CostPrediction cost;
-  if (candidate != config_.node_id) cost.t_redirection = p.redirect_rtt_s;
-  // Both the data channel and the CPU degrade with the candidate's queue —
-  // the runtime analogue of the paper's b/(1+queue) and ops*run_queue
-  // scalings.
-  cost.t_data = size_bytes / p.disk_bytes_per_sec * (1.0 + queue);
-  cost.t_cpu = p.request_cpu_s * (1.0 + queue);
-  return cost;
-}
-
-void NodeServer::record_audit_decision(std::uint64_t request_id, int target,
-                                       double size_bytes) const {
-  const std::vector<NodeLoad> loads = board_.snapshot_all();
-  obs::Decision decision;
-  decision.request_id = request_id;
-  decision.origin = config_.node_id;
-  decision.chosen = target;
-  decision.decision_ts_s = board_.now_seconds();
-  double best_other = std::numeric_limits<double>::infinity();
-  for (int n = 0; n < static_cast<int>(loads.size()); ++n) {
-    if (n != config_.node_id &&
-        !loads[static_cast<std::size_t>(n)].available) {
-      continue;
-    }
-    obs::CandidatePrediction candidate;
-    candidate.node = n;
-    candidate.cost = predict_cost(n, size_bytes, loads);
-    if (n == target) {
-      decision.predicted = candidate.cost;
-    } else {
-      best_other = std::min(best_other, candidate.cost.total());
-    }
-    decision.candidates.push_back(std::move(candidate));
-  }
-  // Connection counts decide, the cost model only narrates — so the margin
-  // (and a negative one) reports how the model prices the heuristic's pick.
-  decision.runner_up_margin = best_other - decision.predicted.total();
-  config_.audit->record_decision(std::move(decision));
-}
-
 http::Response NodeServer::metrics_response() const {
   http::Response response =
       http::make_ok(obs::prometheus_text(config_.registry->snapshot()),
@@ -1397,7 +960,7 @@ http::Response NodeServer::status_response() const {
   w.key("completion_rate_rps").value(overload_.completion_rate_rps());
   w.key("estimated_drain_s").value(overload_.estimated_drain_s());
   w.key("retry_after_s")
-      .value(static_cast<std::int64_t>(retry_after_now()));
+      .value(static_cast<std::int64_t>(handler_.retry_after_s()));
   w.key("transitions").value(overload_.transitions());
   w.key("shed_cgi").value(shed_cgi_->value());
   w.key("shed_uncached").value(shed_uncached_->value());
@@ -1436,21 +999,18 @@ http::Response NodeServer::status_response() const {
   // — the zero-copy hot path's scoreboard (sweb-top's CACHE column reads
   // hits/misses; the broker's discount reads residency live).
   w.key("cache").begin_object();
-  const NodeCache* cache =
-      config_.caches != nullptr && config_.caches->enabled()
-          ? &config_.caches->node(config_.node_id)
-          : nullptr;
-  w.key("enabled").value(cache != nullptr);
-  w.key("capacity_bytes").value(cache != nullptr ? cache->capacity()
-                                                 : std::uint64_t{0});
-  w.key("used_bytes").value(cache != nullptr ? cache->used()
-                                             : std::uint64_t{0});
-  w.key("entries").value(cache != nullptr ? cache->entries()
-                                          : std::uint64_t{0});
-  w.key("hits").value(cache != nullptr ? cache->hits() : std::uint64_t{0});
-  w.key("misses").value(cache != nullptr ? cache->misses()
-                                         : std::uint64_t{0});
-  w.key("hit_rate").value(cache != nullptr ? cache->hit_rate() : 0.0);
+  // A node without a cache reports an empty zero-budget one (fixed shape).
+  static const NodeCache kNoCache(0);
+  const bool cached = config_.caches != nullptr && config_.caches->enabled();
+  const NodeCache& cache =
+      cached ? config_.caches->node(config_.node_id) : kNoCache;
+  w.key("enabled").value(cached);
+  w.key("capacity_bytes").value(cache.capacity());
+  w.key("used_bytes").value(cache.used());
+  w.key("entries").value(cache.entries());
+  w.key("hits").value(cache.hits());
+  w.key("misses").value(cache.misses());
+  w.key("hit_rate").value(cache.hit_rate());
   w.end_object();
   // Slow-request forensics: how many outliers the attached slow log has
   // taken cluster-wide, and the budget this node enforces.

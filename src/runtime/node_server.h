@@ -2,9 +2,9 @@
 //
 // Each NodeServer runs the paper's per-node pipeline against live sockets:
 // accept -> parse (preprocess) -> broker decision -> 302 redirect to a
-// better node, or serve the document. The X-Sweb-Redirected request header
-// marks a request that already bounced once, enforcing the at-most-once
-// rule across real connections.
+// better node, or serve the document. The decision itself is the
+// socket-free RequestHandler (request_handler.h); the NodeServer owns the
+// connections, the loop, the timers and the CGI pool around it.
 //
 // Concurrency: a single reactor thread runs an edge-triggered epoll event
 // loop over nonblocking sockets. Every connection is a small state machine
@@ -40,9 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -60,40 +58,10 @@
 #include "runtime/node_cache.h"
 #include "runtime/overload.h"
 #include "runtime/reactor.h"
+#include "runtime/request_handler.h"
 #include "runtime/socket.h"
 
 namespace sweb::runtime {
-
-/// Redirect decision logic shared by all nodes (the runtime broker): prefer
-/// the owner node unless it is markedly busier than the best alternative.
-struct RuntimeBrokerParams {
-  /// A peer must be at least this many connections lighter to redirect to.
-  int min_connection_advantage = 2;
-  /// Redirect to the owner when our own queue is at least this long.
-  int locality_pull_threshold = 0;
-  bool enable_redirects = true;
-  /// Bytes in flight that weigh as much as one active connection when the
-  /// broker compares candidates, so a node streaming a few large documents
-  /// stops looking idle next to one serving many small ones. <= 0 disables
-  /// the bytes term (connection counts only).
-  double bytes_per_connection = 64.0 * 1024.0;
-  /// Cache-aware placement: connection units subtracted from a candidate's
-  /// apparent load when the requested document is resident in its page
-  /// cache — a warm peer serves from RAM (zero-copy), so it may be worth a
-  /// redirect even against a modest connection deficit. <= 0 (the default)
-  /// keeps placement purely load-based; needs a CacheDirectory attached to
-  /// take effect.
-  double cache_hit_discount = 0.0;
-
-  // Cost-prediction constants for the decision audit. The runtime broker
-  // decides on connection counts; these let it also express that decision
-  // in the paper's cost terms (t_redirection + t_data + t_cpu) so the
-  // audit can grade the prediction against observed durations. They do NOT
-  // influence which node is chosen.
-  double redirect_rtt_s = 1e-3;        // loopback 302 + reconnect
-  double disk_bytes_per_sec = 20e6;    // per-request data bandwidth
-  double request_cpu_s = 2e-4;         // parse + serve CPU per request
-};
 
 class NodeServer {
  public:
@@ -171,7 +139,7 @@ class NodeServer {
   [[nodiscard]] int node_id() const noexcept { return config_.node_id; }
 
   void set_peer_ports(std::vector<std::uint16_t> ports) {
-    peer_ports_ = std::move(ports);
+    handler_.set_peer_ports(std::move(ports));
   }
 
   void start();
@@ -326,24 +294,6 @@ class NodeServer {
     double service_start_s = 0.0;
   };
 
-  /// What process_request decided: an inline outcome carries the finished
-  /// response (and possibly a zero-copy body); a CGI outcome carries what
-  /// the loop needs to offload the handler and finish on handback.
-  struct ServeAction {
-    http::Response response;
-    /// When set, the writer gather-writes response.serialize_head() +
-    /// *body (the response's own body is empty) — the zero-copy hot path.
-    std::shared_ptr<const std::string> body;
-  };
-  struct ProcessOutcome {
-    ServeAction action;
-    bool cgi_pending = false;
-    const CgiHandler* cgi = nullptr;
-    std::string query;
-    std::uint64_t board_charge = 0;  // open connection_opened to close later
-    double service_start_s = 0.0;    // board clock at fulfill start
-  };
-
   // --- Reactor loop -------------------------------------------------------
   void reactor_loop(const std::stop_token& token);
   void accept_ready();
@@ -370,6 +320,8 @@ class NodeServer {
   void reset_for_next_request(Conn& conn);
   [[nodiscard]] bool on_timer(Conn& conn);
   [[nodiscard]] bool read_timed_out(Conn& conn);
+  /// Answers an unparsed request (400, 408) and closes after the write.
+  [[nodiscard]] bool write_error(Conn& conn, http::Response response);
   void start_defer(Conn& conn, Conn::State state,
                    std::chrono::milliseconds delay, obs::Phase wait_phase);
   void arm_conn_timer(Conn& conn);
@@ -377,12 +329,6 @@ class NodeServer {
   /// Re-evaluates the overload state machine (once per loop wake) and, on
   /// a transition, publishes it: LoadBoard overload flag + state gauge.
   void evaluate_overload();
-  /// The Retry-After seconds a shed 503 carries right now: the
-  /// controller's drain estimate when enabled, the configured hint
-  /// otherwise — either way rounded up and clamped to [1, 120].
-  [[nodiscard]] int retry_after_now() const;
-  /// The brownout 503 for a request rejected by adaptive admission.
-  [[nodiscard]] http::Response brownout_response(const char* what) const;
   [[nodiscard]] std::chrono::milliseconds read_budget() const noexcept;
 
   /// Stamps this node's liveness lease every heartbeat_period and runs the
@@ -394,13 +340,6 @@ class NodeServer {
   void stop_heartbeat();
   void stop_serving();  // reactor thread, CGI pool, admitted connections
 
-  /// Parses/serves one request; Connection header is set by the caller.
-  /// `trace_id` labels this request's spans (0 when tracing is off).
-  /// Phase durations (broker_decide, doc_read) accumulate into `clock`.
-  /// A CGI request comes back cgi_pending with the handler un-run.
-  [[nodiscard]] ProcessOutcome process_request(const http::Request& request,
-                                               std::uint64_t trace_id,
-                                               obs::PhaseClock& clock);
   /// Flushes a finished request's phase vector into the per-phase
   /// histograms; with tracing on, into one span per entered phase (laid
   /// back to back in taxonomy order, ending now); and, when it blew the
@@ -414,21 +353,6 @@ class NodeServer {
   /// The /sweb/metrics body: the registry in Prometheus text format.
   [[nodiscard]] http::Response metrics_response() const;
 
-  /// Chooses the serving node for `path` owned by `owner`; may be self.
-  /// The path feeds the broker's cache-residency discount.
-  [[nodiscard]] int choose_node(int owner, std::string_view path) const;
-
-  /// The runtime cost prediction for serving `size_bytes` on `candidate`
-  /// (board loads included) — audit bookkeeping only, never a decision
-  /// input.
-  [[nodiscard]] obs::CostPrediction predict_cost(
-      int candidate, double size_bytes,
-      const std::vector<NodeLoad>& loads) const;
-  /// Records the brokered choice with the shared audit (no-op when
-  /// detached).
-  void record_audit_decision(std::uint64_t request_id, int target,
-                             double size_bytes) const;
-
   /// Fresh cluster-unique request id (tracer-backed when one is attached,
   /// else node-local).
   [[nodiscard]] std::uint64_t next_request_id();
@@ -441,15 +365,15 @@ class NodeServer {
   /// is destroyed after everything that points into it).
   std::unique_ptr<obs::Registry> own_registry_;
   Config config_;
-  const DocStore& docs_;
   LoadBoard& board_;
   OverloadController overload_;
+  /// The per-request decision (reads overload_, so declared after it).
+  RequestHandler handler_;
   /// Last state pushed to the board/gauge; reactor-thread-only (forced
   /// publishes from test threads write the board directly and converge).
   OverloadState published_overload_ = OverloadState::kHealthy;
   ChaosDirector chaos_;
   TcpListener listener_;
-  std::vector<std::uint16_t> peer_ports_;
   std::jthread thread_;  // the reactor loop
   // Reactor state: owned and touched by the loop thread only (stop_serving
   // clears conns_ strictly after joining the thread).
@@ -473,7 +397,6 @@ class NodeServer {
   // Cached registry instruments (never null: the registry always exists).
   obs::Counter* requests_ = nullptr;
   obs::Counter* handled_ = nullptr;
-  obs::Counter* redirects_ = nullptr;
   obs::Counter* errors_ = nullptr;
   obs::Counter* shed_ = nullptr;
   // Per-reason error counters (node.N.err.400/404/408/503): which kind of

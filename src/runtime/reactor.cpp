@@ -24,13 +24,6 @@ bool Epoller::add(int fd, std::uint32_t events, std::uint64_t tag) {
   return ::epoll_ctl(epfd_.get(), EPOLL_CTL_ADD, fd, &ev) == 0;
 }
 
-bool Epoller::modify(int fd, std::uint32_t events, std::uint64_t tag) {
-  epoll_event ev{};
-  ev.events = events;
-  ev.data.u64 = tag;
-  return ::epoll_ctl(epfd_.get(), EPOLL_CTL_MOD, fd, &ev) == 0;
-}
-
 void Epoller::remove(int fd) noexcept {
   ::epoll_ctl(epfd_.get(), EPOLL_CTL_DEL, fd, nullptr);
 }

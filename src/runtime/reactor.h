@@ -34,7 +34,6 @@ class Epoller {
   Epoller& operator=(const Epoller&) = delete;
 
   [[nodiscard]] bool add(int fd, std::uint32_t events, std::uint64_t tag);
-  [[nodiscard]] bool modify(int fd, std::uint32_t events, std::uint64_t tag);
   void remove(int fd) noexcept;
 
   struct Event {

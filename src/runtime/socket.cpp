@@ -101,13 +101,6 @@ sockaddr_in SocketAddress::to_sockaddr() const noexcept {
   return sa;
 }
 
-SocketAddress SocketAddress::from_sockaddr(const sockaddr_in& sa) noexcept {
-  SocketAddress a;
-  a.host = ntohl(sa.sin_addr.s_addr);
-  a.port = ntohs(sa.sin_port);
-  return a;
-}
-
 std::optional<TcpStream> TcpStream::connect(const SocketAddress& addr,
                                             std::chrono::milliseconds timeout) {
   FileDescriptor fd(::socket(AF_INET, SOCK_STREAM, 0));

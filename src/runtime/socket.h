@@ -66,8 +66,6 @@ struct SocketAddress {
   [[nodiscard]] static SocketAddress loopback(std::uint16_t port) noexcept;
   [[nodiscard]] std::string to_string() const;
   [[nodiscard]] sockaddr_in to_sockaddr() const noexcept;
-  [[nodiscard]] static SocketAddress from_sockaddr(
-      const sockaddr_in& sa) noexcept;
 };
 
 /// A connected TCP stream.

@@ -285,9 +285,9 @@ TEST(Runtime, LoadBoardUnderflowCounterReachesRegistry) {
 }
 
 TEST(Runtime, RedirectsCanBeDisabled) {
-  RuntimeBrokerParams broker;
-  broker.enable_redirects = false;
-  MiniCluster cluster(2, small_docbase(2), broker);
+  MiniClusterOptions options;
+  options.broker.enable_redirects = false;
+  MiniCluster cluster(2, small_docbase(2), options);
   cluster.start();
   const std::string url = "http://127.0.0.1:" +
                           std::to_string(cluster.port(0)) +

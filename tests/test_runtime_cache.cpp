@@ -170,7 +170,7 @@ TEST(RuntimeCache, DiscountRedirectsTowardResidentNode) {
   // the broker must prefer the resident (zero-copy) peer over serving the
   // document it owns.
   MiniClusterOptions options;
-  options.broker.cache_hit_discount = 3.0;  // > min_connection_advantage
+  options.broker.cache_hit_discount = 3.0;  // > kMinConnectionAdvantage (2)
   MiniCluster cluster(2, small_docbase(2), options);
   cluster.start();
   const std::string path = "/docs/file0.html";
