@@ -94,13 +94,13 @@ int main(int argc, char** argv) {
       .option("slow-budget", "0",
               "slow budget in ms: a request whose total exceeds this leaves "
               "a forensics record (0: only chaos-faulted requests do)")
-      // Degraded-link chaos: every connection the chosen node accepts is
+      // Degraded-link chaos: every connection the chosen node admits is
       // injected with these faults (see runtime/chaos.h).
       .option("chaos-node", "-1",
               "degrade this node's link with the --chaos-* faults below "
               "(-1: chaos off)")
       .option("chaos-read-delay", "0", "ms of latency before every read")
-      .option("chaos-write-delay", "0", "ms of latency before every write")
+      .option("chaos-write-delay", "0", "ms of latency before every response")
       .option("chaos-jitter", "0", "uniform extra ms added to each delay")
       .option("chaos-stall", "0",
               "one-time stall in ms before a connection's first read")

@@ -1,7 +1,6 @@
 #include "runtime/chaos.h"
 
 #include <algorithm>
-#include <thread>
 
 namespace sweb::runtime {
 
@@ -11,8 +10,10 @@ using namespace std::chrono_literals;
 
 /// Pacing granularity: with a throttle active, transfers are clamped to at
 /// most this much of a second's budget per operation so the byte-rate is
-/// enforced smoothly rather than in one burst followed by a long sleep.
+/// enforced smoothly rather than in one burst followed by a long wait.
 constexpr int kThrottleSlicesPerSecond = 8;
+constexpr std::chrono::milliseconds kThrottleSlice{1000 /
+                                                   kThrottleSlicesPerSecond};
 
 }  // namespace
 
@@ -29,122 +30,98 @@ ConnectionFaults::ConnectionFaults(const FaultPlan& plan, std::uint64_t seed,
 
 std::chrono::milliseconds ConnectionFaults::jittered(
     std::chrono::milliseconds base) {
-  if (plan_.delay_jitter <= 0ms) return base;
+  if (base <= 0ms || plan_.delay_jitter <= 0ms) return base;
   std::uniform_int_distribution<std::int64_t> extra(
       0, plan_.delay_jitter.count() - 1);
   return base + std::chrono::milliseconds(extra(rng_));
 }
 
-std::size_t ConnectionFaults::throttle_clamp(
-    std::size_t want) const noexcept {
-  if (plan_.throttle_bytes_per_sec == 0) return want;
-  // Rates under one byte per slice clamp to 0: the caller must pace one
-  // throttle_slice() and retry with a minimum of one byte, never treat the
-  // empty transfer as connection death (see TcpStream::write_all_v).
-  const std::size_t slice =
-      plan_.throttle_bytes_per_sec / kThrottleSlicesPerSecond;
-  return std::min(want, slice);
+void ConnectionFaults::charge(OpGate& gate, std::chrono::milliseconds delay,
+                              TimePoint now) noexcept {
+  gate.charged = true;
+  gate.ready_at = std::max(now, paced_until_) + delay;
 }
 
-std::chrono::milliseconds ConnectionFaults::throttle_slice() const noexcept {
-  if (plan_.throttle_bytes_per_sec == 0) return 0ms;
-  return std::chrono::milliseconds(1000 / kThrottleSlicesPerSecond);
-}
-
-void ConnectionFaults::pace(std::size_t bytes) {
-  if (plan_.throttle_bytes_per_sec == 0 || bytes == 0) return;
-  const double seconds = static_cast<double>(bytes) /
-                         static_cast<double>(plan_.throttle_bytes_per_sec);
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
-
-std::size_t ConnectionFaults::before_read(std::size_t max) {
-  std::chrono::milliseconds delay = plan_.read_delay;
-  if (!stalled_ && plan_.first_read_stall > 0ms) {
-    stalled_ = true;
-    delay += plan_.first_read_stall;
+ConnectionFaults::Gate ConnectionFaults::clamp(OpGate& gate, std::size_t want,
+                                               TimePoint now) noexcept {
+  Gate verdict;
+  verdict.budget = want;
+  if (plan_.throttle_bytes_per_sec == 0 || want == 0) return verdict;
+  verdict.budget = std::min(
+      want, plan_.throttle_bytes_per_sec / kThrottleSlicesPerSecond);
+  if (verdict.budget > 0) return verdict;
+  if (!gate.slice_paid) {
+    gate.slice_paid = true;
+    gate.ready_at = now + kThrottleSlice;
+    verdict.retry_at = gate.ready_at;
+    return verdict;
   }
-  if (delay > 0ms) std::this_thread::sleep_for(jittered(delay));
-  return throttle_clamp(max);
+  verdict.budget = 1;
+  return verdict;
 }
 
-void ConnectionFaults::pre_write_delay() {
-  if (plan_.write_delay > 0ms) {
-    std::this_thread::sleep_for(jittered(plan_.write_delay));
+ConnectionFaults::Gate ConnectionFaults::gate_read(std::size_t want,
+                                                   TimePoint now) {
+  if (!read_gate_.charged) {
+    std::chrono::milliseconds delay = plan_.read_delay;
+    if (!stalled_ && plan_.first_read_stall > 0ms) {
+      stalled_ = true;
+      delay += plan_.first_read_stall;
+    }
+    charge(read_gate_, jittered(delay), now);
   }
+  if (now < read_gate_.ready_at) return Gate{read_gate_.ready_at};
+  return clamp(read_gate_, want, now);
 }
 
-std::size_t ConnectionFaults::clamp_write(std::size_t want, bool& reset_now) {
+ConnectionFaults::Gate ConnectionFaults::gate_write(std::size_t want,
+                                                    TimePoint now) {
+  if (!write_gate_.charged) {
+    charge(write_gate_,
+           response_started_ ? 0ms : jittered(plan_.write_delay), now);
+  }
+  if (now < write_gate_.ready_at) return Gate{write_gate_.ready_at};
   if (doomed_ && bytes_written_ >= plan_.reset_after_bytes) {
-    reset_now = true;
     doomed_ = false;  // fire once
     if (director_ != nullptr) director_->note_reset();
-    return 0;
+    Gate verdict;
+    verdict.reset = true;
+    return verdict;
   }
-  reset_now = false;
-  std::size_t clamped = throttle_clamp(want);
+  Gate verdict = clamp(write_gate_, want, now);
   if (plan_.torn_write_max_bytes > 0) {
-    clamped = std::min(clamped, plan_.torn_write_max_bytes);
+    verdict.budget = std::min(verdict.budget, plan_.torn_write_max_bytes);
   }
-  // A doomed connection never writes past its reset point: the next call
+  // A doomed connection never writes past its reset point: the next op
   // fires the RST exactly there, mid-stream.
   if (doomed_ && plan_.reset_after_bytes > bytes_written_) {
-    clamped = std::min<std::size_t>(
-        clamped,
+    verdict.budget = std::min<std::size_t>(
+        verdict.budget,
         static_cast<std::size_t>(plan_.reset_after_bytes - bytes_written_));
   }
-  return clamped;
+  return verdict;
 }
 
-void ConnectionFaults::after_read(std::size_t bytes) { pace(bytes); }
-
-void ConnectionFaults::after_write(std::size_t bytes) {
-  bytes_written_ += bytes;
-  pace(bytes);
-}
-
-std::chrono::milliseconds ConnectionFaults::pacing_debt() const noexcept {
-  if (plan_.throttle_bytes_per_sec == 0) return 0ms;
-  const auto now = std::chrono::steady_clock::now();
-  if (paced_until_ <= now) return 0ms;
-  return std::chrono::ceil<std::chrono::milliseconds>(paced_until_ - now);
-}
-
-void ConnectionFaults::accrue_pacing(std::size_t bytes) noexcept {
+void ConnectionFaults::finish(OpGate& gate, std::size_t bytes,
+                              TimePoint now) noexcept {
+  gate = OpGate{};
   if (plan_.throttle_bytes_per_sec == 0 || bytes == 0) return;
   const auto debt = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double>(
           static_cast<double>(bytes) /
           static_cast<double>(plan_.throttle_bytes_per_sec)));
-  paced_until_ = std::max(paced_until_, std::chrono::steady_clock::now()) +
-                 debt;
+  paced_until_ = std::max(paced_until_, now) + debt;
 }
 
-std::chrono::milliseconds ConnectionFaults::read_defer() {
-  std::chrono::milliseconds delay = plan_.read_delay;
-  if (!stalled_ && plan_.first_read_stall > 0ms) {
-    stalled_ = true;
-    delay += plan_.first_read_stall;
-  }
-  if (delay > 0ms) delay = jittered(delay);
-  return delay + pacing_debt();
+void ConnectionFaults::note_read(std::size_t bytes, TimePoint now) noexcept {
+  if (bytes > 0) response_started_ = false;  // a new request: a new turn
+  finish(read_gate_, bytes, now);
 }
 
-std::chrono::milliseconds ConnectionFaults::write_defer(bool first_send) {
-  std::chrono::milliseconds delay{0};
-  if (first_send && plan_.write_delay > 0ms) {
-    delay = jittered(plan_.write_delay);
-  }
-  return delay + pacing_debt();
-}
-
-void ConnectionFaults::note_read_nb(std::size_t bytes) noexcept {
-  accrue_pacing(bytes);
-}
-
-void ConnectionFaults::note_write_nb(std::size_t bytes) noexcept {
+void ConnectionFaults::note_write(std::size_t bytes, TimePoint now) noexcept {
+  if (bytes > 0) response_started_ = true;
   bytes_written_ += bytes;
-  accrue_pacing(bytes);
+  finish(write_gate_, bytes, now);
 }
 
 void ChaosDirector::configure(FaultPlan plan, std::uint64_t seed) {

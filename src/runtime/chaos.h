@@ -4,10 +4,11 @@
 // answering); real NOW links fail slowly — stalled reads, torn writes, high
 // latency, trickling slowloris clients. This module is the seam that lets
 // tests and benches manufacture those conditions deterministically: a
-// ChaosDirector attached to a TcpListener stamps every accepted connection
-// with a per-connection ConnectionFaults drawn from a seeded RNG, and the
-// TcpStream I/O paths consult it to delay, throttle, tear, or reset the
-// transfer. The same FaultPlan and seed always produce the same faults.
+// node's ChaosDirector stamps every connection it admits with a
+// per-connection ConnectionFaults drawn from a seeded RNG, and the stream's
+// non-blocking I/O consults it to delay, throttle, tear, or reset the
+// transfer — a delay comes back as "retry at t", never as a sleep. The
+// same FaultPlan and seed always produce the same faults.
 //
 // Faults model the *link/node* being slow, so injected delays deliberately
 // do NOT count against the caller's I/O deadline — defending against that
@@ -20,18 +21,20 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <random>
 
 namespace sweb::runtime {
 
 /// What to do to a connection. All faults default off; a default-constructed
-/// plan is inert. Delays are per-operation (one read / one write_all call),
+/// plan is inert. Delays are per-operation (one read / one response),
 /// the throttle paces every byte, torn writes bound each TCP send, and the
 /// reset tears the connection down mid-stream with an RST.
 struct FaultPlan {
   /// Fixed delay injected before every read on the connection.
   std::chrono::milliseconds read_delay{0};
-  /// Fixed delay injected before every write_all call.
+  /// Fixed delay injected before the first send of every response (the
+  /// first send after the connection last read).
   std::chrono::milliseconds write_delay{0};
   /// Uniform extra [0, delay_jitter) added to each injected delay.
   std::chrono::milliseconds delay_jitter{0};
@@ -61,76 +64,83 @@ struct FaultPlan {
 class ChaosDirector;
 
 /// Per-connection mutable fault state. Owned (via shared_ptr) by the
-/// TcpStream it degrades; exercised from that stream's single I/O thread,
-/// so no internal locking. The injected sleeps happen inside these calls.
+/// TcpStream it degrades and consulted only by that stream's non-blocking
+/// read_nb/write_some_v_nb, from its single I/O thread — so no internal
+/// locking. Nothing here sleeps: a held operation comes back as the time
+/// to retry it, and every call takes `now` from the caller.
+///
+/// Contract: ask the gate before each intended op. While it answers
+/// `retry_at`, do no I/O; asking again before then answers the same time
+/// without re-charging the delay. Once it lets the op through, perform it
+/// (at most `budget` bytes) and report it with note_read/note_write —
+/// bytes moved, 0 for EAGAIN — which re-arms the gate for the next op.
 class ConnectionFaults {
  public:
+  using TimePoint = std::chrono::steady_clock::time_point;
+
   ConnectionFaults(const FaultPlan& plan, std::uint64_t seed, bool doomed,
                    ChaosDirector* director) noexcept;
 
-  /// Injects read latency (plus the one-time first-read stall) and returns
-  /// the throttled clamp on how many bytes this read may ask for.
-  [[nodiscard]] std::size_t before_read(std::size_t max);
-  /// Injects the per-write delay. Call once per write_all.
-  void pre_write_delay();
-  /// Clamps one send to the torn-write / throttle chunk size. Sets
-  /// `reset_now` when the doomed connection has crossed its reset point —
-  /// the caller must hard-reset instead of writing.
-  [[nodiscard]] std::size_t clamp_write(std::size_t want, bool& reset_now);
-  void after_read(std::size_t bytes);   // throttle pacing
-  void after_write(std::size_t bytes);  // throttle pacing + reset bookkeeping
+  /// The verdict on one intended op.
+  struct Gate {
+    /// Set: the link holds the op — do no I/O, ask again at this time.
+    std::optional<TimePoint> retry_at;
+    /// Otherwise the op may move up to this many bytes (>= 1 when the
+    /// caller asked for any).
+    std::size_t budget = 0;
+    /// Writes only: the doomed connection crossed its reset point — the
+    /// caller must hard-reset instead of writing.
+    bool reset = false;
+  };
 
-  // --- Non-blocking gate API (reactor event loop) --------------------------
-  // The blocking calls above sleep the injected delays inline, which would
-  // stall every connection sharing a reactor thread. The event loop instead
-  // asks how long an operation must be *deferred*, arms a timer for that
-  // long, and performs the I/O when it fires — then reports completed bytes
-  // so throttle pacing accrues as debt instead of a sleep.
-  //
-  // Contract: call {read,write}_defer() once per intended I/O op. If it
-  // returns >0ms, wait that long and then perform the op WITHOUT asking
-  // again (a second call would re-charge the per-op delay).
-
-  /// Delay to apply before the next read: per-read latency + the one-time
-  /// first-read stall (consumed by this call) + outstanding pacing debt.
-  [[nodiscard]] std::chrono::milliseconds read_defer();
-  /// Delay before the next send; the per-write delay is charged only when
-  /// `first_send` (one write_all-equivalent, i.e. one response).
-  [[nodiscard]] std::chrono::milliseconds write_defer(bool first_send);
-  /// Throttle clamp on a read size, without the blocking sleeps.
-  [[nodiscard]] std::size_t clamp_read(std::size_t max) const noexcept {
-    return throttle_clamp(max);
-  }
-  /// Completed-I/O bookkeeping: accrues pacing debt (surfaced by the next
-  /// *_defer call); note_write_nb also advances the reset byte count.
-  void note_read_nb(std::size_t bytes) noexcept;
-  void note_write_nb(std::size_t bytes) noexcept;
-  /// One throttle pacing slice — the wait to schedule when a clamp comes
-  /// back 0 because the per-slice byte budget rounds down to nothing
-  /// (rates under one byte per slice). 0ms when unthrottled.
-  [[nodiscard]] std::chrono::milliseconds throttle_slice() const noexcept;
+  /// Per-read latency plus the one-time first-read stall and any pacing
+  /// debt, then the throttle clamp on `want`.
+  [[nodiscard]] Gate gate_read(std::size_t want, TimePoint now);
+  /// The per-write delay (charged on the first send after a read, i.e.
+  /// once per response) plus pacing debt, the doomed reset, then the
+  /// throttle / torn-write / reset-point clamp on `want`.
+  [[nodiscard]] Gate gate_write(std::size_t want, TimePoint now);
+  /// Completed-op bookkeeping: accrues pacing debt; note_write also
+  /// advances the reset byte count.
+  void note_read(std::size_t bytes, TimePoint now) noexcept;
+  void note_write(std::size_t bytes, TimePoint now) noexcept;
 
  private:
+  /// Gate state of one direction, charged once per op.
+  struct OpGate {
+    bool charged = false;     // this op's delay is already in ready_at
+    bool slice_paid = false;  // a zero throttle clamp already waited a slice
+    TimePoint ready_at{};
+  };
+
+  /// `base` plus uniform [0, delay_jitter); 0 stays 0.
   [[nodiscard]] std::chrono::milliseconds jittered(
       std::chrono::milliseconds base);
-  /// Throttle chunk clamp shared by reads and writes.
-  [[nodiscard]] std::size_t throttle_clamp(std::size_t want) const noexcept;
-  void pace(std::size_t bytes);
-  /// Outstanding non-blocking pacing debt, rounded up to whole ms.
-  [[nodiscard]] std::chrono::milliseconds pacing_debt() const noexcept;
-  void accrue_pacing(std::size_t bytes) noexcept;
+  /// Charges one op's delay: it may run `delay` after any pacing debt.
+  void charge(OpGate& gate, std::chrono::milliseconds delay,
+              TimePoint now) noexcept;
+  /// The throttle clamp. A rate under one byte per slice clamps to 0: the
+  /// op then waits one slice and moves one byte — never a zero-byte op,
+  /// which the socket would report as EOF or a dead connection.
+  [[nodiscard]] Gate clamp(OpGate& gate, std::size_t want,
+                           TimePoint now) noexcept;
+  /// Re-arms the gate and accrues the op's bytes as pacing debt.
+  void finish(OpGate& gate, std::size_t bytes, TimePoint now) noexcept;
 
   FaultPlan plan_;
   std::mt19937_64 rng_;
   bool doomed_;
   bool stalled_ = false;
+  bool response_started_ = false;  // a send happened since the last read
   std::uint64_t bytes_written_ = 0;
-  std::chrono::steady_clock::time_point paced_until_{};
+  TimePoint paced_until_{};
+  OpGate read_gate_;
+  OpGate write_gate_;
   ChaosDirector* director_;
 };
 
-/// Hands a ConnectionFaults to every connection a listener accepts.
-/// Thread-safe: the accept thread admits while tests reconfigure. Must
+/// Hands a ConnectionFaults to every connection a node admits.
+/// Thread-safe: the reactor admits while tests reconfigure. Must
 /// outlive every ConnectionFaults it issued (NodeServer owns one and joins
 /// its workers before destruction).
 class ChaosDirector {
@@ -145,7 +155,7 @@ class ChaosDirector {
   void configure(FaultPlan plan, std::uint64_t seed = kDefaultSeed);
   [[nodiscard]] bool enabled() const;
 
-  /// Fault state for the next accepted connection; nullptr when disabled
+  /// Fault state for the next admitted connection; nullptr when disabled
   /// (the stream then runs clean, with zero overhead).
   [[nodiscard]] std::shared_ptr<ConnectionFaults> admit();
 

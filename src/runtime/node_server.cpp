@@ -66,7 +66,6 @@ NodeServer::NodeServer(Config config, const DocStore& docs, LoadBoard& board)
   if (config_.chaos.active()) {
     chaos_.configure(config_.chaos, config_.chaos_seed);
   }
-  listener_.set_chaos(&chaos_);
   pool_ = std::make_unique<CgiPool>(std::max(1, config_.max_workers), wake_);
 }
 
@@ -152,9 +151,6 @@ void NodeServer::recover() {
   if (crashed_) {
     // Same port: every peer captured it in set_peer_ports at cluster build.
     listener_ = TcpListener(listener_.port());
-    // The rebind built a fresh listener with no chaos attachment — a node
-    // that recovered onto a still-degraded link must stay degraded.
-    listener_.set_chaos(&chaos_);
     pool_->start();
     thread_ = std::jthread(
         [this](const std::stop_token& token) { reactor_loop(token); });
@@ -236,7 +232,7 @@ void NodeServer::reactor_loop(const std::stop_token& token) {
       } else if (conn.state == Conn::State::kWriting) {
         alive = drive_write(conn);
       }
-      // Deferred states wait for their timer; kCgiWait for its handback.
+      // kCgiWait waits for its handback.
       if (alive) arm_conn_timer(conn);
     }
     TimerHeap::Entry due;
@@ -278,6 +274,7 @@ void NodeServer::admit(TcpStream stream) {
   Conn& c = *conn;
   c.stream = std::move(stream);
   c.id = next_conn_id_++;
+  c.stream.set_faults(chaos_.admit());
   c.conn_faulted = c.stream.faulted();
   c.stream.set_nonblocking(true);
   c.parser = std::make_unique<http::RequestParser>();
@@ -306,9 +303,12 @@ void NodeServer::shed(TcpStream stream) {
   busy.headers.add("Server", config_.server_name);
   busy.headers.set("Connection", "close");
   busy.headers.set("Retry-After", std::to_string(handler_.retry_after_s()));
-  // Written synchronously from the loop: a fresh connection's send buffer
-  // is empty, so this cannot block for long.
-  (void)stream.write_all(busy.serialize(), config_.io_timeout);
+  // One non-blocking send from the loop: a fresh connection's send buffer
+  // is empty, so the whole 503 fits. The connection was never admitted,
+  // so it carries no link faults.
+  const std::string wire = busy.serialize();
+  const std::string_view segment = wire;
+  (void)stream.write_some_v_nb(&segment, 1);
   stream.shutdown_write();
 }
 
@@ -398,24 +398,12 @@ void NodeServer::begin_request_clock(Conn& c) {
   c.idle_wait = false;
 }
 
-void NodeServer::start_defer(Conn& c, Conn::State state,
-                             std::chrono::milliseconds delay,
-                             obs::Phase wait_phase) {
-  c.state = state;
-  c.defer_until = std::chrono::steady_clock::now() + delay;
-  c.wait_phase = wait_phase;
-}
-
 void NodeServer::arm_conn_timer(Conn& c) {
   TimerHeap::TimePoint when;
   bool want = true;
   switch (c.state) {
     case Conn::State::kReading:
       when = c.read_deadline;
-      break;
-    case Conn::State::kDeferredRead:
-    case Conn::State::kDeferredWrite:
-      when = c.defer_until;
       break;
     case Conn::State::kWriting:
       if (c.has_write_deadline) {
@@ -427,6 +415,13 @@ void NodeServer::arm_conn_timer(Conn& c) {
     case Conn::State::kCgiWait:
       want = false;  // woken by the pool's handback, not a deadline
       break;
+  }
+  // A held read/send wakes when the link lets it through. Deadlines bound
+  // waits on the peer, so they resume when the connection parks again —
+  // injected delays never count against them.
+  if (c.retry_at) {
+    when = *c.retry_at;
+    want = true;
   }
   if (!want) {
     ++c.timer_gen;  // invalidate whatever entry is still in the heap
@@ -444,15 +439,11 @@ bool NodeServer::on_timer(Conn& c) {
   attend(c);
   c.timer_armed = false;  // this generation's entry was just consumed
   const auto now = std::chrono::steady_clock::now();
+  if (c.retry_at) {
+    if (now < *c.retry_at) return true;  // rounding; re-arm
+    return c.state == Conn::State::kReading ? drive_read(c) : drive_write(c);
+  }
   switch (c.state) {
-    case Conn::State::kDeferredRead:
-      if (now < c.defer_until) return true;  // rounding; re-arm
-      c.state = Conn::State::kReading;
-      return drive_read(c);
-    case Conn::State::kDeferredWrite:
-      if (now < c.defer_until) return true;
-      c.state = Conn::State::kWriting;
-      return drive_write(c);
     case Conn::State::kReading:
       if (now < c.read_deadline) return true;
       return read_timed_out(c);
@@ -510,36 +501,13 @@ bool NodeServer::drive_read(Conn& c) {
       }
     }
     if (!c.can_read) return true;  // parked until the next EPOLLIN edge
-    ConnectionFaults* faults = c.stream.faults_state();
-    std::size_t max = kReadChunk;
-    if (faults != nullptr) {
-      if (!c.read_gate_passed) {
-        const auto delay = faults->read_defer();
-        c.read_gate_passed = true;
-        if (delay > 0ms) {
-          start_defer(c, Conn::State::kDeferredRead, delay,
-                      obs::Phase::kHeaderRead);
-          return true;
-        }
-      }
-      max = faults->clamp_read(max);
-      if (max == 0 && !c.throttled_min_read) {
-        // A throttle slice below one byte paces instead of spinning: wait
-        // one slice, then move at least one byte.
-        c.throttled_min_read = true;
-        start_defer(c, Conn::State::kDeferredRead, faults->throttle_slice(),
-                    obs::Phase::kHeaderRead);
-        return true;
-      }
-      if (max == 0) max = 1;
-      c.throttled_min_read = false;
-    }
-    auto r = c.stream.read_nb(max);
-    c.read_gate_passed = false;  // the gated op happened; next op re-asks
+    auto r = c.stream.read_nb(kReadChunk);
     if (!r.ok) {
       destroy_conn(c.id);
       return false;
     }
+    c.retry_at = r.retry_at;
+    if (c.retry_at) return true;  // held by the link: the timer re-drives
     if (r.would_block) {
       c.can_read = false;
       return true;
@@ -549,7 +517,6 @@ bool NodeServer::drive_read(Conn& c) {
       destroy_conn(c.id);
       return false;
     }
-    if (faults != nullptr) faults->note_read_nb(r.data.size());
     begin_request_clock(c);
     c.got_bytes = true;
     lap(c, obs::Phase::kHeaderRead);
@@ -708,19 +675,10 @@ bool NodeServer::start_write(Conn& c, http::Response response,
   c.head = body != nullptr ? response.serialize_head() : response.serialize();
   c.body = std::move(body);
   c.written = 0;
-  c.response_started = false;
-  c.write_gate_passed = false;
-  c.throttled_min_write = false;
   c.has_write_deadline = false;
   c.state = Conn::State::kWriting;
   c.wait_phase = obs::Phase::kWrite;
   c.phase_mark = std::chrono::steady_clock::now();
-  if (c.stream.faults_state() == nullptr) {
-    c.write_deadline = deadline_after(config_.io_timeout);
-    c.has_write_deadline = true;
-  }
-  // With faults attached, the deadline starts after the first-send defer
-  // resolves (chaos delays deliberately don't eat the write budget).
   return drive_write(c);
 }
 
@@ -730,63 +688,30 @@ bool NodeServer::drive_write(Conn& c) {
         c.head.size() + (c.body != nullptr ? c.body->size() : 0);
     if (c.written >= total) return write_complete(c, true);
     if (!c.can_write) return true;  // parked until the next EPOLLOUT edge
-    ConnectionFaults* faults = c.stream.faults_state();
-    std::size_t want = total - c.written;
-    if (faults != nullptr) {
-      if (!c.write_gate_passed) {
-        const auto delay = faults->write_defer(!c.response_started);
-        c.write_gate_passed = true;
-        if (delay > 0ms) {
-          start_defer(c, Conn::State::kDeferredWrite, delay,
-                      obs::Phase::kWrite);
-          return true;
-        }
-      }
+    // Gather the remainder: serialized head first, then the shared body.
+    std::string_view segments[2];
+    std::size_t count = 0;
+    if (c.written < c.head.size()) {
+      segments[count++] = std::string_view(c.head).substr(c.written);
+    }
+    if (c.body != nullptr) {
+      const std::size_t body_off =
+          c.written > c.head.size() ? c.written - c.head.size() : 0;
+      segments[count++] = std::string_view(*c.body).substr(body_off);
+    }
+    const auto w = c.stream.write_some_v_nb(segments, count);
+    if (!w.ok) return write_complete(c, false);
+    c.retry_at = w.retry_at;
+    if (c.retry_at) return true;  // held by the link: the timer re-drives
+    if (w.would_block) {
+      // The deadline bounds stalls on the peer: it starts at the first.
       if (!c.has_write_deadline) {
         c.write_deadline = deadline_after(config_.io_timeout);
         c.has_write_deadline = true;
       }
-      bool reset_now = false;
-      want = faults->clamp_write(want, reset_now);
-      if (reset_now) {
-        c.stream.hard_reset();
-        return write_complete(c, false);
-      }
-      if (want == 0 && !c.throttled_min_write) {
-        // Sub-byte throttle slice: pace one slice, then move one byte —
-        // a zero clamp must never starve (or kill) the connection.
-        c.throttled_min_write = true;
-        start_defer(c, Conn::State::kDeferredWrite, faults->throttle_slice(),
-                    obs::Phase::kWrite);
-        return true;
-      }
-      if (want == 0) want = 1;
-      c.throttled_min_write = false;
-    }
-    // Gather the remainder: serialized head first, then the shared body.
-    std::string_view segments[2];
-    std::size_t count = 0;
-    std::size_t budget = want;
-    if (c.written < c.head.size()) {
-      const auto chunk = std::string_view(c.head).substr(c.written, budget);
-      segments[count++] = chunk;
-      budget -= chunk.size();
-    }
-    if (budget > 0 && c.body != nullptr) {
-      const std::size_t body_off =
-          c.written > c.head.size() ? c.written - c.head.size() : 0;
-      const auto chunk = std::string_view(*c.body).substr(body_off, budget);
-      if (!chunk.empty()) segments[count++] = chunk;
-    }
-    const auto w = c.stream.write_some_v_nb(segments, count);
-    c.write_gate_passed = false;
-    if (!w.ok) return write_complete(c, false);
-    if (w.would_block) {
       c.can_write = false;
       continue;  // loop top parks on !can_write
     }
-    c.response_started = true;
-    if (faults != nullptr) faults->note_write_nb(w.written);
     c.written += w.written;
   }
 }
@@ -835,9 +760,6 @@ void NodeServer::reset_for_next_request(Conn& c) {
   c.status = 0;
   c.method.clear();
   c.path.clear();
-  c.read_gate_passed = false;
-  c.throttled_min_read = false;
-  c.response_started = false;
   c.has_write_deadline = false;
   c.inflight_marked = false;
   c.queue_wait_s = 0.0;

@@ -15,7 +15,8 @@
 // past the cap are shed with 503 Service Unavailable, which is what makes
 // the broker's effective_connections() signal meaningful. Deadlines (the
 // slowloris 408 header budget, silent idle keep-alive close, write stalls)
-// live in a min-heap timer wheel with lazy invalidation. CGI handlers — the
+// and the retry times of reads/sends a degraded link holds (chaos.h) live
+// in a min-heap timer wheel with lazy invalidation. CGI handlers — the
 // only CPU-bound stage — run on a small worker pool (Config::max_workers)
 // and hand their responses back to the loop through an eventfd wakeup.
 //
@@ -40,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -99,7 +101,7 @@ class NodeServer {
     /// adaptive Retry-After, and the broker routes 302s around the node.
     OverloadParams overload{};
     /// Degraded-link fault injection applied to every connection this node
-    /// accepts (chaos drills); an inactive plan (the default) is free.
+    /// admits (chaos drills); an inactive plan (the default) is free.
     FaultPlan chaos{};
     std::uint64_t chaos_seed = ChaosDirector::kDefaultSeed;
     /// Cluster-shared residency caches (typically the MiniCluster's; may
@@ -161,7 +163,7 @@ class NodeServer {
   [[nodiscard]] bool crashed() const noexcept { return crashed_; }
 
   /// Installs (or replaces) the degraded-link fault plan live — every
-  /// connection accepted from now on is degraded per `plan`. An inactive
+  /// connection admitted from now on is degraded per `plan`. An inactive
   /// plan switches injection off.
   void set_chaos(const FaultPlan& plan,
                  std::uint64_t seed = ChaosDirector::kDefaultSeed) {
@@ -228,11 +230,9 @@ class NodeServer {
   /// is touched from the loop thread only.
   struct Conn {
     enum class State {
-      kReading,        // pumping header/body bytes into the parser
-      kDeferredRead,   // chaos defer or throttle pacing before the next read
-      kCgiWait,        // handler running on the CGI pool; awaiting handback
-      kWriting,        // pumping the response out
-      kDeferredWrite,  // chaos defer or throttle pacing before the next send
+      kReading,  // pumping header/body bytes into the parser
+      kCgiWait,  // handler running on the CGI pool; awaiting handback
+      kWriting,  // pumping the response out
     };
 
     TcpStream stream;
@@ -252,18 +252,13 @@ class NodeServer {
     // Deadlines (enforced through the timer heap).
     Deadline read_deadline{};
     Deadline write_deadline{};
-    bool has_write_deadline = false;
-    std::chrono::steady_clock::time_point defer_until{};
+    bool has_write_deadline = false;  // armed at the first stall on the peer
+    // Set while the stream holds the next read/send (a link fault): the
+    // timer re-drives the connection then.
+    std::optional<Deadline> retry_at;
     std::uint64_t timer_gen = 0;  // lazy invalidation of heap entries
     bool timer_armed = false;
     std::chrono::steady_clock::time_point timer_when{};
-
-    // Chaos gates ({read,write}_defer charged once per I/O op).
-    bool read_gate_passed = false;
-    bool write_gate_passed = false;
-    bool throttled_min_read = false;
-    bool throttled_min_write = false;
-    bool response_started = false;  // first send of this response done
 
     // Phase attribution: every gap between attentions is charged to
     // wait_phase; synchronous work laps directly.
@@ -308,7 +303,7 @@ class NodeServer {
   /// Restarts the request clocks when the first byte of a keep-alive
   /// request arrives (think time excluded).
   void begin_request_clock(Conn& conn);
-  /// Pumps reads/parse until EAGAIN, a defer, or a complete request.
+  /// Pumps reads/parse until EAGAIN, a held read, or a complete request.
   /// All drive_*/finish_* helpers return false when the connection was
   /// destroyed.
   [[nodiscard]] bool drive_read(Conn& conn);
@@ -322,8 +317,6 @@ class NodeServer {
   [[nodiscard]] bool read_timed_out(Conn& conn);
   /// Answers an unparsed request (400, 408) and closes after the write.
   [[nodiscard]] bool write_error(Conn& conn, http::Response response);
-  void start_defer(Conn& conn, Conn::State state,
-                   std::chrono::milliseconds delay, obs::Phase wait_phase);
   void arm_conn_timer(Conn& conn);
   void finish_cgi(CgiPool::Result result);
   /// Re-evaluates the overload state machine (once per loop wake) and, on

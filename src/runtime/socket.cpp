@@ -13,7 +13,6 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
-#include <thread>
 
 namespace sweb::runtime {
 
@@ -131,18 +130,6 @@ TcpStream::ReadResult TcpStream::read_some(std::size_t max,
                                            std::chrono::milliseconds timeout) {
   ReadResult result;
   if (!fd_.valid()) return result;
-  // Chaos: injected latency/stall sleeps here, on purpose outside the
-  // caller's timeout — the degraded link does not honor anyone's budget.
-  if (faults_ != nullptr) {
-    max = faults_->before_read(max);
-    if (max == 0) {
-      // Throttle rates under one byte per slice clamp to zero: pace one
-      // slice and let the minimum one byte through — recv(fd, buf, 0)
-      // returning 0 would be misread as EOF and kill the connection.
-      std::this_thread::sleep_for(faults_->throttle_slice());
-      max = 1;
-    }
-  }
   const Deadline deadline = deadline_after(timeout);
   result.data.resize(max);
   for (;;) {
@@ -155,9 +142,6 @@ TcpStream::ReadResult TcpStream::read_some(std::size_t max,
       result.data.resize(static_cast<std::size_t>(n));
       result.ok = true;
       result.eof = (n == 0);
-      if (faults_ != nullptr && n > 0) {
-        faults_->after_read(static_cast<std::size_t>(n));
-      }
       return result;
     }
     // A signal (EINTR) or a readiness race (poll reported readable but the
@@ -181,23 +165,38 @@ void TcpStream::set_nonblocking(bool enable) noexcept {
 TcpStream::NbRead TcpStream::read_nb(std::size_t max) {
   NbRead result;
   if (!fd_.valid() || max == 0) return result;
-  result.data.resize(max);
-  for (;;) {
-    const ssize_t n = ::recv(fd_.get(), result.data.data(), max, MSG_DONTWAIT);
-    if (n >= 0) {
-      result.data.resize(static_cast<std::size_t>(n));
+  std::chrono::steady_clock::time_point now{};
+  if (faults_ != nullptr) {
+    now = std::chrono::steady_clock::now();
+    const ConnectionFaults::Gate gate = faults_->gate_read(max, now);
+    if (gate.retry_at) {
       result.ok = true;
-      result.eof = (n == 0);
+      result.retry_at = gate.retry_at;
       return result;
     }
-    if (errno == EINTR) continue;
-    result.data.clear();
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      result.ok = true;
-      result.would_block = true;
-    }
+    max = gate.budget;
+  }
+  result.data.resize(max);
+  ssize_t n = 0;
+  do {
+    n = ::recv(fd_.get(), result.data.data(), max, MSG_DONTWAIT);
+  } while (n < 0 && errno == EINTR);
+  const int err = errno;
+  if (faults_ != nullptr) {
+    faults_->note_read(n > 0 ? static_cast<std::size_t>(n) : 0, now);
+  }
+  if (n >= 0) {
+    result.data.resize(static_cast<std::size_t>(n));
+    result.ok = true;
+    result.eof = (n == 0);
     return result;
   }
+  result.data.clear();
+  if (err == EAGAIN || err == EWOULDBLOCK) {
+    result.ok = true;
+    result.would_block = true;
+  }
+  return result;
 }
 
 TcpStream::NbWrite TcpStream::write_some_v_nb(const std::string_view* segments,
@@ -218,23 +217,52 @@ TcpStream::NbWrite TcpStream::write_some_v_nb(const std::string_view* segments,
     result.ok = true;
     return result;
   }
+  std::chrono::steady_clock::time_point now{};
+  if (faults_ != nullptr) {
+    now = std::chrono::steady_clock::now();
+    std::size_t want = 0;
+    for (std::size_t i = 0; i < iov_count; ++i) want += iov[i].iov_len;
+    const ConnectionFaults::Gate gate = faults_->gate_write(want, now);
+    if (gate.reset) {
+      hard_reset();
+      return result;
+    }
+    if (gate.retry_at) {
+      result.ok = true;
+      result.retry_at = gate.retry_at;
+      return result;
+    }
+    // Torn writes / throttle: trim the gather list to the byte budget.
+    std::size_t budget = gate.budget;
+    std::size_t kept = 0;
+    while (kept < iov_count && budget > 0) {
+      iov[kept].iov_len = std::min(iov[kept].iov_len, budget);
+      budget -= iov[kept].iov_len;
+      ++kept;
+    }
+    iov_count = kept;
+  }
   msghdr msg{};
   msg.msg_iov = iov.data();
   msg.msg_iovlen = iov_count;
-  for (;;) {
-    const ssize_t n = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (n >= 0) {
-      result.written = static_cast<std::size_t>(n);
-      result.ok = true;
-      return result;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      result.ok = true;
-      result.would_block = true;
-    }
+  ssize_t n = 0;
+  do {
+    n = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+  } while (n < 0 && errno == EINTR);
+  const int err = errno;
+  if (faults_ != nullptr) {
+    faults_->note_write(n > 0 ? static_cast<std::size_t>(n) : 0, now);
+  }
+  if (n >= 0) {
+    result.written = static_cast<std::size_t>(n);
+    result.ok = true;
     return result;
   }
+  if (err == EAGAIN || err == EWOULDBLOCK) {
+    result.ok = true;
+    result.would_block = true;
+  }
+  return result;
 }
 
 bool TcpStream::write_all(std::string_view data,
@@ -245,7 +273,6 @@ bool TcpStream::write_all(std::string_view data,
 bool TcpStream::write_all_v(std::initializer_list<std::string_view> segments,
                             std::chrono::milliseconds timeout) {
   if (!fd_.valid()) return false;
-  if (faults_ != nullptr) faults_->pre_write_delay();
   const Deadline deadline = deadline_after(timeout);
   // Working copy of the non-empty segments; consumed ones are dropped by
   // advancing `first`, the partially-sent head is narrowed in place.
@@ -259,40 +286,13 @@ bool TcpStream::write_all_v(std::initializer_list<std::string_view> segments,
   std::size_t first = 0;
   while (first < count) {
     if (!wait_ready_until(fd_.get(), POLLOUT, deadline)) return false;
-    std::size_t want = 0;
-    for (std::size_t i = first; i < count; ++i) want += pending[i].size();
-    if (faults_ != nullptr) {
-      // Torn writes / throttle clamp the chunk; a doomed connection that
-      // crossed its reset point dies here with an RST, mid-stream. The
-      // clamp sees the same remaining-byte count a single-buffer send
-      // would offer, so fault behavior is identical on both paths.
-      bool reset_now = false;
-      want = faults_->clamp_write(want, reset_now);
-      if (reset_now) {
-        hard_reset();
-        return false;
-      }
-      if (want == 0) {
-        // The throttle clamped this send to nothing (rates under one byte
-        // per slice): an empty iovec would make sendmsg return 0 and the
-        // connection would be dropped as dead. Pace one throttle slice,
-        // then let the minimum one byte through. Like every chaos sleep,
-        // the pause deliberately ignores the caller's deadline.
-        std::this_thread::sleep_for(faults_->throttle_slice());
-        want = 1;
-      }
-    }
-    // Trim the gather list to the clamped byte budget.
     std::array<iovec, 8> iov{};
     std::size_t iov_count = 0;
-    std::size_t budget = want;
-    for (std::size_t i = first; i < count && budget > 0; ++i) {
-      const std::size_t len = std::min(budget, pending[i].size());
+    for (std::size_t i = first; i < count; ++i) {
       iov[iov_count].iov_base =
           const_cast<char*>(pending[i].data());  // sendmsg never writes it
-      iov[iov_count].iov_len = len;
+      iov[iov_count].iov_len = pending[i].size();
       ++iov_count;
-      budget -= len;
     }
     // MSG_DONTWAIT: the fd is in blocking mode, and a blocking send of
     // more than the free buffer space parks in the kernel with no regard
@@ -308,7 +308,6 @@ bool TcpStream::write_all_v(std::initializer_list<std::string_view> segments,
     // A zero-byte send made no progress and set no errno; treating it as
     // EINTR-like by consulting the stale errno could loop or misreport.
     if (n == 0) return false;
-    if (faults_ != nullptr) faults_->after_write(static_cast<std::size_t>(n));
     std::size_t sent = static_cast<std::size_t>(n);
     while (first < count && sent >= pending[first].size()) {
       sent -= pending[first].size();
@@ -359,10 +358,7 @@ std::optional<TcpStream> TcpListener::accept(
   if (!wait_ready(fd_.get(), POLLIN, timeout)) return std::nullopt;
   const int client = ::accept(fd_.get(), nullptr, nullptr);
   if (client < 0) return std::nullopt;
-  TcpStream stream{FileDescriptor(client)};
-  // Chaos seam: a degraded node degrades every connection it accepts.
-  if (chaos_ != nullptr) stream.set_faults(chaos_->admit());
-  return stream;
+  return TcpStream{FileDescriptor(client)};
 }
 
 void TcpListener::set_nonblocking(bool enable) noexcept {
@@ -373,11 +369,7 @@ std::optional<TcpStream> TcpListener::accept_nb() {
   if (!fd_.valid()) return std::nullopt;
   for (;;) {
     const int client = ::accept(fd_.get(), nullptr, nullptr);
-    if (client >= 0) {
-      TcpStream stream{FileDescriptor(client)};
-      if (chaos_ != nullptr) stream.set_faults(chaos_->admit());
-      return stream;
-    }
+    if (client >= 0) return TcpStream{FileDescriptor(client)};
     if (errno == EINTR) continue;
     return std::nullopt;  // EAGAIN (backlog drained) or a transient error
   }

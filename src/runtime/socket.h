@@ -19,7 +19,6 @@
 
 namespace sweb::runtime {
 
-class ChaosDirector;     // chaos.h
 class ConnectionFaults;  // chaos.h
 
 /// Absolute deadline for a multi-step I/O sequence. Loops that poll + read
@@ -111,22 +110,24 @@ class TcpStream {
                                std::chrono::milliseconds timeout);
 
   /// Gather-write: sends `segments` back to back as if they were one
-  /// buffer, without ever concatenating them — the zero-copy hot path
-  /// hands a preserialized header block plus a shared body buffer straight
-  /// to the kernel (sendmsg/writev). Same contract as write_all (one
-  /// overall deadline, false on error/timeout), and the chaos seam clamps
-  /// each send to the same torn-write/throttle byte counts it would clamp
-  /// a single-buffer send to: the iovec set is trimmed to the clamp.
+  /// buffer, without ever concatenating them (sendmsg/writev). Same
+  /// contract as write_all (one overall deadline, false on error/timeout).
   [[nodiscard]] bool write_all_v(
       std::initializer_list<std::string_view> segments,
       std::chrono::milliseconds timeout);
 
+  // The blocking helpers above ignore attached faults: they serve clean
+  // client and test streams.
+
   // --- Non-blocking primitives (reactor event loop) -----------------------
-  // These never sleep, never poll, and never consult the chaos seam: the
-  // reactor schedules chaos defers itself through faults_state() and calls
-  // these only when epoll reported readiness. EINTR is retried inline (a
-  // signal is not a state change); EAGAIN surfaces as would_block=true so
-  // the state machine can park until the next readiness event.
+  // These never sleep and never poll, and they are the only calls that
+  // consult attached faults (chaos.h): a faulted stream may answer
+  // retry_at — the link holds the op, no I/O was done, call again at that
+  // time (an earlier call answers the same time) — and clamps the bytes
+  // one op moves. EINTR is retried inline (a signal is not a state
+  // change); EAGAIN surfaces as would_block=true so the state machine can
+  // park until the next readiness event. A clean stream pays a pointer
+  // test and no clock read.
 
   /// One nonblocking recv of up to `max` bytes.
   struct NbRead {
@@ -134,25 +135,22 @@ class TcpStream {
     bool ok = false;          // false: hard error (connection is dead)
     bool eof = false;         // ok && the peer half-closed
     bool would_block = false; // ok && no bytes available right now
+    std::optional<Deadline> retry_at;  // ok && held by a link fault
   };
   [[nodiscard]] NbRead read_nb(std::size_t max);
 
   /// One nonblocking gather send (a single sendmsg of up to 8 segments).
   /// `written` may cover any prefix of the total; the caller resumes the
-  /// remainder on the next writability event.
+  /// remainder on the next writability event. A doomed faulted stream
+  /// fires its RST here (hard_reset) and answers ok=false.
   struct NbWrite {
     std::size_t written = 0;
     bool ok = false;
     bool would_block = false;
+    std::optional<Deadline> retry_at;  // ok && held by a link fault
   };
   [[nodiscard]] NbWrite write_some_v_nb(const std::string_view* segments,
                                         std::size_t count);
-
-  /// The attached per-connection fault state (nullptr when clean) — the
-  /// reactor consults it directly for defers/clamps.
-  [[nodiscard]] ConnectionFaults* faults_state() const noexcept {
-    return faults_.get();
-  }
 
   /// Half-closes the write side (signals EOF to the peer — HTTP/1.0 framing).
   void shutdown_write() noexcept;
@@ -164,7 +162,7 @@ class TcpStream {
   void hard_reset() noexcept;
 
   /// Attaches per-connection fault injection (see chaos.h); every later
-  /// read/write on this stream consults it. nullptr detaches.
+  /// read_nb/write_some_v_nb consults it. nullptr detaches.
   void set_faults(std::shared_ptr<ConnectionFaults> faults) noexcept {
     faults_ = std::move(faults);
   }
@@ -197,8 +195,8 @@ class TcpListener {
   void set_nonblocking(bool enable) noexcept;
 
   /// Nonblocking accept: one pending connection or std::nullopt when the
-  /// backlog is empty (or on a transient accept error). Applies the chaos
-  /// seam exactly like accept(). The listener must be in nonblocking mode.
+  /// backlog is empty (or on a transient accept error). The listener must
+  /// be in nonblocking mode.
   [[nodiscard]] std::optional<TcpStream> accept_nb();
 
   /// Closes the listening socket (further connects are refused) but keeps
@@ -208,16 +206,9 @@ class TcpListener {
   void close() noexcept { fd_.reset(); }
   [[nodiscard]] bool listening() const noexcept { return fd_.valid(); }
 
-  /// Degrades every subsequently accepted connection via `director`
-  /// (nullptr detaches). The director must outlive the accepted streams;
-  /// note that move-assigning a fresh TcpListener (crash-recovery rebind)
-  /// drops the attachment — re-call set_chaos after a rebind.
-  void set_chaos(ChaosDirector* director) noexcept { chaos_ = director; }
-
  private:
   FileDescriptor fd_;
   std::uint16_t port_ = 0;
-  ChaosDirector* chaos_ = nullptr;
 };
 
 }  // namespace sweb::runtime

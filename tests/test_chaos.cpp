@@ -5,10 +5,12 @@
 // of it (backoff budget, Retry-After honoring, idempotency gating).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -69,8 +71,8 @@ template <typename Predicate>
   return parser.message();
 }
 
-/// A listener with chaos attached plus one connected client/server stream
-/// pair whose server side carries the director's fault plan.
+/// One connected client/server stream pair whose server side carries the
+/// director's fault plan, attached the way a node attaches it at admit.
 struct ChaosPair {
   TcpListener listener{0};
   ChaosDirector director;
@@ -80,7 +82,6 @@ struct ChaosPair {
 
 [[nodiscard]] bool connect_pair(ChaosPair& pair, const FaultPlan& plan) {
   pair.director.configure(plan);
-  pair.listener.set_chaos(&pair.director);
   auto client = TcpStream::connect(
       SocketAddress::loopback(pair.listener.port()), 2000ms);
   if (!client) return false;
@@ -88,7 +89,29 @@ struct ChaosPair {
   auto server = pair.listener.accept(2000ms);
   if (!server) return false;
   pair.server = std::move(*server);
+  pair.server.set_faults(pair.director.admit());
   return true;
+}
+
+/// Reads everything the peer sends until it closes or resets.
+[[nodiscard]] std::string drain(TcpStream& stream) {
+  std::string received;
+  for (;;) {
+    const auto chunk = stream.read_some(16 * 1024, 2000ms);
+    if (!chunk.ok || chunk.eof) return received;
+    received += chunk.data;
+  }
+}
+
+/// Brackets a held op's retry time: it must be `delay` after the moment
+/// the stream was asked, which lies between `before` and `after`.
+void expect_held_for(const std::optional<Deadline>& retry_at,
+                     std::chrono::steady_clock::time_point before,
+                     std::chrono::steady_clock::time_point after,
+                     std::chrono::milliseconds delay) {
+  ASSERT_TRUE(retry_at.has_value());
+  EXPECT_GE(*retry_at, before + delay);
+  EXPECT_LE(*retry_at, after + delay);
 }
 
 // --- Socket-level fault injection ------------------------------------------
@@ -99,71 +122,114 @@ TEST(Chaos, ReadDelayInjectsLatency) {
   plan.read_delay = 80ms;
   ASSERT_TRUE(connect_pair(pair, plan));
   ASSERT_TRUE(pair.client.write_all("ping", 2000ms));
-  const auto start = std::chrono::steady_clock::now();
-  const auto chunk = pair.server.read_some(16, 2000ms);
+  ASSERT_TRUE(pair.server.wait_readable(2000ms));
+  // The injected delay lands on the degraded (server) side of the link:
+  // the read is held for exactly read_delay, with no bytes consumed.
+  const auto before = std::chrono::steady_clock::now();
+  const auto held = pair.server.read_nb(16);
+  const auto after = std::chrono::steady_clock::now();
+  EXPECT_TRUE(held.ok);
+  EXPECT_TRUE(held.data.empty());
+  expect_held_for(held.retry_at, before, after, 80ms);
+  // Asking early answers the same time: the delay is charged once per op.
+  EXPECT_EQ(pair.server.read_nb(16).retry_at, held.retry_at);
+  std::this_thread::sleep_until(*held.retry_at);
+  const auto chunk = pair.server.read_nb(16);
   EXPECT_TRUE(chunk.ok);
+  EXPECT_FALSE(chunk.retry_at.has_value());
   EXPECT_EQ(chunk.data, "ping");
-  // The injected delay lands on the degraded (server) side of the link.
-  EXPECT_GE(elapsed_since(start), 60ms);
 }
 
 TEST(Chaos, FirstReadStallFiresExactlyOnce) {
+  ChaosPair pair;
   FaultPlan plan;
   plan.first_read_stall = 80ms;
-  ConnectionFaults faults(plan, /*seed=*/1, /*doomed=*/false, nullptr);
-  auto start = std::chrono::steady_clock::now();
-  (void)faults.before_read(1024);
-  EXPECT_GE(elapsed_since(start), 60ms);  // the one-time stall
-  start = std::chrono::steady_clock::now();
-  (void)faults.before_read(1024);
-  EXPECT_LT(elapsed_since(start), 40ms);  // later reads run clean
+  ASSERT_TRUE(connect_pair(pair, plan));
+  ASSERT_TRUE(pair.client.write_all("ab", 2000ms));
+  ASSERT_TRUE(pair.server.wait_readable(2000ms));
+  const auto before = std::chrono::steady_clock::now();
+  const auto stalled = pair.server.read_nb(16);
+  const auto after = std::chrono::steady_clock::now();
+  expect_held_for(stalled.retry_at, before, after, 80ms);  // the one stall
+  std::this_thread::sleep_until(*stalled.retry_at);
+  EXPECT_EQ(pair.server.read_nb(16).data, "ab");
+  // Later reads run clean: no hold at all.
+  ASSERT_TRUE(pair.client.write_all("cd", 2000ms));
+  ASSERT_TRUE(pair.server.wait_readable(2000ms));
+  const auto clean = pair.server.read_nb(16);
+  EXPECT_FALSE(clean.retry_at.has_value());
+  EXPECT_EQ(clean.data, "cd");
 }
 
 TEST(Chaos, ThrottlePacesWritesToTheConfiguredRate) {
   ChaosPair pair;
   FaultPlan plan;
-  plan.throttle_bytes_per_sec = 8 * 1024;
+  plan.throttle_bytes_per_sec = 8 * 1024;  // 1 KiB per 125 ms slice
   ASSERT_TRUE(connect_pair(pair, plan));
   const std::string payload(4096, 'x');
-  std::string received;
-  std::thread reader([&] {
-    while (received.size() < payload.size()) {
-      const auto chunk = pair.client.read_some(16 * 1024, 3000ms);
-      if (!chunk.ok || chunk.eof) break;
-      received += chunk.data;
+  std::size_t sent = 0;
+  int holds = 0;
+  while (sent < payload.size()) {
+    const std::string_view rest = std::string_view(payload).substr(sent);
+    const auto before = std::chrono::steady_clock::now();
+    const auto w = pair.server.write_some_v_nb(&rest, 1);
+    ASSERT_TRUE(w.ok);
+    if (w.retry_at) {
+      ++holds;
+      std::this_thread::sleep_until(*w.retry_at);
+      continue;
     }
-  });
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_TRUE(pair.server.write_all(payload, 5000ms));
-  // 4096 B at 8192 B/s is half a second of pacing (margin for scheduling).
-  EXPECT_GE(elapsed_since(start), 300ms);
-  reader.join();
-  EXPECT_EQ(received, payload);
+    // Each send moves one slice; the next one is held for the slice's
+    // pacing: 1024 B at 8192 B/s is 125 ms after this send.
+    EXPECT_EQ(w.written, 1024u);
+    sent += w.written;
+    if (sent < payload.size()) {
+      const auto after = std::chrono::steady_clock::now();
+      const std::string_view next = std::string_view(payload).substr(sent);
+      const auto paced = pair.server.write_some_v_nb(&next, 1);
+      expect_held_for(paced.retry_at, before, after, 125ms);
+      ++holds;
+      std::this_thread::sleep_until(*paced.retry_at);
+    }
+  }
+  EXPECT_EQ(holds, 3);
+  pair.server.shutdown_write();
+  EXPECT_EQ(drain(pair.client), payload);
 }
 
 TEST(Chaos, TornWritesClampSegmentsButDeliverEveryByte) {
   FaultPlan plan;
   plan.torn_write_max_bytes = 128;
   ConnectionFaults faults(plan, /*seed=*/1, /*doomed=*/false, nullptr);
-  bool reset_now = true;
-  EXPECT_LE(faults.clamp_write(10 * 1024, reset_now), 128u);
-  EXPECT_FALSE(reset_now);
+  const ConnectionFaults::Gate gate =
+      faults.gate_write(10 * 1024, std::chrono::steady_clock::now());
+  EXPECT_FALSE(gate.retry_at.has_value());
+  EXPECT_FALSE(gate.reset);
+  EXPECT_EQ(gate.budget, 128u);
 
   ChaosPair pair;
   ASSERT_TRUE(connect_pair(pair, plan));
   std::string payload;
   for (int i = 0; i < 4096; ++i) payload.push_back(static_cast<char>(i));
-  std::string received;
-  std::thread reader([&] {
-    while (received.size() < payload.size()) {
-      const auto chunk = pair.client.read_some(16 * 1024, 3000ms);
-      if (!chunk.ok || chunk.eof) break;
-      received += chunk.data;
-    }
-  });
-  EXPECT_TRUE(pair.server.write_all(payload, 5000ms));
-  reader.join();
-  EXPECT_EQ(received, payload);  // torn, not corrupted
+  // Two segments, so the clamp must trim the gather list across a
+  // segment boundary (100 + 28 on the first send).
+  const std::string_view head = std::string_view(payload).substr(0, 100);
+  const std::string_view body = std::string_view(payload).substr(100);
+  std::size_t sent = 0;
+  while (sent < payload.size()) {
+    std::string_view segments[2];
+    std::size_t count = 0;
+    if (sent < head.size()) segments[count++] = head.substr(sent);
+    segments[count++] = body.substr(sent > head.size() ? sent - head.size()
+                                                       : 0);
+    const auto w = pair.server.write_some_v_nb(segments, count);
+    ASSERT_TRUE(w.ok);
+    ASSERT_FALSE(w.retry_at.has_value());
+    EXPECT_EQ(w.written, std::min<std::size_t>(128, payload.size() - sent));
+    sent += w.written;
+  }
+  pair.server.shutdown_write();
+  EXPECT_EQ(drain(pair.client), payload);  // torn, not corrupted
 }
 
 TEST(Chaos, MidStreamResetAbortsTheTransfer) {
@@ -173,16 +239,17 @@ TEST(Chaos, MidStreamResetAbortsTheTransfer) {
   plan.reset_after_bytes = 256;
   ASSERT_TRUE(connect_pair(pair, plan));
   const std::string payload(4096, 'y');
-  // The doomed connection writes its 256 bytes, then dies with an RST.
-  EXPECT_FALSE(pair.server.write_all(payload, 2000ms));
+  const std::string_view rest = payload;
+  // The doomed connection writes exactly its 256 bytes, then the next
+  // send dies with an RST.
+  const auto first = pair.server.write_some_v_nb(&rest, 1);
+  ASSERT_TRUE(first.ok);
+  EXPECT_EQ(first.written, 256u);
+  const auto second = pair.server.write_some_v_nb(&rest, 1);
+  EXPECT_FALSE(second.ok);
+  EXPECT_FALSE(pair.server.valid());
   EXPECT_EQ(pair.director.resets_injected(), 1u);
-  std::string received;
-  for (;;) {
-    const auto chunk = pair.client.read_some(16 * 1024, 2000ms);
-    if (!chunk.ok || chunk.eof) break;
-    received += chunk.data;
-  }
-  EXPECT_LT(received.size(), payload.size());
+  EXPECT_LT(drain(pair.client).size(), payload.size());
 
   // Only the first connection was doomed; the next one runs clean.
   auto client2 = TcpStream::connect(
@@ -190,7 +257,10 @@ TEST(Chaos, MidStreamResetAbortsTheTransfer) {
   ASSERT_TRUE(client2.has_value());
   auto server2 = pair.listener.accept(2000ms);
   ASSERT_TRUE(server2.has_value());
-  EXPECT_TRUE(server2->write_all(payload, 2000ms));
+  server2->set_faults(pair.director.admit());
+  const auto clean = server2->write_some_v_nb(&rest, 1);
+  EXPECT_TRUE(clean.ok);
+  EXPECT_EQ(clean.written, payload.size());
   EXPECT_EQ(pair.director.resets_injected(), 1u);
 }
 
@@ -204,9 +274,8 @@ TEST(Chaos, SameSeedDoomsTheSameConnections) {
     std::vector<bool> pattern;
     for (int i = 0; i < 32; ++i) {
       const auto faults = director.admit();
-      bool reset_now = false;
-      (void)faults->clamp_write(64, reset_now);
-      pattern.push_back(reset_now);
+      pattern.push_back(
+          faults->gate_write(64, std::chrono::steady_clock::now()).reset);
     }
     return pattern;
   };
@@ -299,6 +368,40 @@ TEST(Chaos, Shed503CarriesRetryAfterHint) {
   EXPECT_EQ(http::code(shed_response->status), 503);
   EXPECT_EQ(shed_response->headers.get("Retry-After"), "2");
   EXPECT_GE(cluster.node(0).shed_count(), 1u);
+}
+
+TEST(Chaos, ShedNeverStallsTheLoopOnAFaultedNode) {
+  // A refused connection was never admitted, so it carries no link faults:
+  // its 503 goes out at once, however slow the node's admitted links are.
+  MiniClusterOptions options;
+  options.max_connections = 1;
+  options.chaos_node = 0;
+  options.chaos.write_delay = 400ms;
+  MiniCluster cluster(1, small_docbase(1), options);
+  cluster.start();
+  const SocketAddress address = SocketAddress::loopback(cluster.port(0));
+  auto held = TcpStream::connect(address, 2000ms);
+  ASSERT_TRUE(held.has_value());
+  ASSERT_TRUE(
+      eventually([&] { return cluster.node(0).active_connections() == 1; }));
+  std::vector<TcpStream> refused;
+  std::vector<std::chrono::steady_clock::time_point> connected_at;
+  for (int i = 0; i < 3; ++i) {
+    connected_at.push_back(std::chrono::steady_clock::now());
+    auto conn = TcpStream::connect(address, 2000ms);
+    ASSERT_TRUE(conn.has_value());
+    refused.push_back(std::move(*conn));
+  }
+  for (std::size_t i = 0; i < refused.size(); ++i) {
+    const auto response = try_read_response(refused[i]);
+    ASSERT_TRUE(response.has_value()) << "refused connection " << i;
+    EXPECT_EQ(http::code(response->status), 503);
+    EXPECT_LT(elapsed_since(connected_at[i]), 400ms)
+        << "refused connection " << i << " waited out the write delay";
+  }
+  EXPECT_EQ(cluster.node(0).shed_count(), 3u);
+  // Only the admitted connection took a fault draw.
+  EXPECT_EQ(cluster.node(0).chaos().connections_faulted(), 1u);
 }
 
 /// Drives one of each client-visible error through `node`, which must be

@@ -4,9 +4,9 @@
 // recv/connect/sendmsg, with no SA_RESTART) is not a state change: every
 // blocking socket call must retry within its remaining deadline instead of
 // reporting a hard error. (2) A chaos throttle below one byte per pacing
-// slice clamps the per-send budget to zero; that must pace the transfer —
-// never produce an empty iovec whose sendmsg()==0 reads as a dead
-// connection, and never spin.
+// slice clamps the per-op budget to zero; the non-blocking stream must
+// then hold the op a slice and move one byte — never produce an empty
+// iovec whose sendmsg()==0 reads as a dead connection, and never spin.
 #include <gtest/gtest.h>
 
 #include <sys/time.h>
@@ -14,7 +14,10 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "runtime/chaos.h"
@@ -145,68 +148,105 @@ TEST(ThrottleToZero, ClampReportsZeroAndSliceUnderOneBytePerSlice) {
   FaultPlan plan;
   plan.throttle_bytes_per_sec = 4;  // under one byte per 125 ms slice
   ConnectionFaults faults(plan, /*seed=*/1, /*doomed=*/false, nullptr);
-  EXPECT_EQ(faults.clamp_read(16 * 1024), 0u);
-  EXPECT_GT(faults.throttle_slice(), 0ms);
-  // Completed bytes become pacing debt the next defer surfaces.
-  faults.note_read_nb(1);
-  EXPECT_GE(faults.read_defer(), 200ms);  // 1 byte at 4 B/s = 250 ms
+  const auto t0 = std::chrono::steady_clock::now();
+  // The clamp rounds to zero bytes: the read waits one slice...
+  const auto zero = faults.gate_read(16 * 1024, t0);
+  ASSERT_TRUE(zero.retry_at.has_value());
+  EXPECT_EQ(*zero.retry_at - t0, 125ms);
+  // ...then moves the minimum one byte.
+  const auto t1 = t0 + 125ms;
+  const auto one = faults.gate_read(16 * 1024, t1);
+  EXPECT_FALSE(one.retry_at.has_value());
+  EXPECT_EQ(one.budget, 1u);
+  // Completed bytes become pacing debt the next op waits out:
+  // 1 byte at 4 B/s = 250 ms.
+  faults.note_read(1, t1);
+  const auto paced = faults.gate_read(16 * 1024, t1);
+  ASSERT_TRUE(paced.retry_at.has_value());
+  EXPECT_EQ(*paced.retry_at - t1, 250ms);
 }
 
+/// A connected pair whose client side carries a sub-byte-per-slice
+/// throttle.
+struct ThrottledPair {
+  TcpListener listener{0};
+  std::optional<TcpStream> client;
+  std::optional<TcpStream> server;
+
+  ThrottledPair() {
+    client = TcpStream::connect(SocketAddress::loopback(listener.port()),
+                                2000ms);
+    server = listener.accept(2000ms);
+    if (!client || !server) return;
+    FaultPlan plan;
+    plan.throttle_bytes_per_sec = 4;  // every clamp comes back 0
+    client->set_faults(std::make_shared<ConnectionFaults>(
+        plan, /*seed=*/1, /*doomed=*/false, nullptr));
+  }
+};
+
 TEST(ThrottleToZero, GatherWriteSurvivesZeroClampAndPacesBytes) {
-  TcpListener listener(0);
-  auto client = TcpStream::connect(SocketAddress::loopback(listener.port()),
-                                   2000ms);
-  ASSERT_TRUE(client.has_value());
-  auto server = listener.accept(2000ms);
-  ASSERT_TRUE(server.has_value());
-
-  FaultPlan plan;
-  plan.throttle_bytes_per_sec = 4;  // every clamp_write comes back 0
-  client->set_faults(std::make_shared<ConnectionFaults>(
-      plan, /*seed=*/1, /*doomed=*/false, nullptr));
-
-  std::string received;
-  std::thread reader([&] {
-    for (;;) {
-      const auto chunk = server->read_some(64, 5000ms);
-      if (!chunk.ok || chunk.eof) break;
-      received += chunk.data;
+  ThrottledPair pair;
+  ASSERT_TRUE(pair.client.has_value() && pair.server.has_value());
+  // A zero clamp must never build an empty iovec (sendmsg would return 0
+  // and the connection would read as dead). It must instead hold the send
+  // one slice, then move one byte, then wait out that byte's pacing.
+  const std::string_view segments[] = {"GET ", "/a\r\n"};
+  std::size_t sent = 0;
+  int holds = 0;
+  int sends = 0;
+  while (sent < 8) {
+    std::string_view rest[2];
+    std::size_t count = 0;
+    if (sent < 4) rest[count++] = segments[0].substr(sent);
+    rest[count++] = segments[1].substr(sent > 4 ? sent - 4 : 0);
+    const auto before = std::chrono::steady_clock::now();
+    const auto w = pair.client->write_some_v_nb(rest, count);
+    const auto after = std::chrono::steady_clock::now();
+    ASSERT_TRUE(w.ok);
+    if (w.retry_at) {
+      if (holds == 0) {
+        EXPECT_GE(*w.retry_at, before + 125ms);  // one throttle slice
+        EXPECT_LE(*w.retry_at, after + 125ms);
+      }
+      ++holds;
+      std::this_thread::sleep_until(*w.retry_at);
+      continue;
     }
-  });
-  // Before the fix the zero clamp built an empty iovec, sendmsg returned
-  // 0, and write_all_v treated the connection as dead — dropping the
-  // response. It must instead pace ~one byte per slice and finish.
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_TRUE(client->write_all_v({"GET ", "/a\r\n"}, 2000ms));
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  client->shutdown_write();
-  reader.join();
+    EXPECT_EQ(w.written, 1u);
+    sent += w.written;
+    ++sends;
+  }
+  // Every byte waited a slice, and every byte after the first also
+  // waited out the previous byte's 250 ms of pacing.
+  EXPECT_EQ(sends, 8);
+  EXPECT_EQ(holds, 15);
+  pair.client->shutdown_write();
+  std::string received;
+  for (;;) {
+    const auto chunk = pair.server->read_some(64, 5000ms);
+    if (!chunk.ok || chunk.eof) break;
+    received += chunk.data;
+  }
   EXPECT_EQ(received, "GET /a\r\n");
-  // Eight bytes through a sub-slice throttle cannot land instantly: the
-  // pacing defense really slept, it didn't just lift the clamp.
-  EXPECT_GE(elapsed, 500ms);
 }
 
 TEST(ThrottleToZero, ReadSomeSurvivesZeroClamp) {
-  TcpListener listener(0);
-  auto client = TcpStream::connect(SocketAddress::loopback(listener.port()),
-                                   2000ms);
-  ASSERT_TRUE(client.has_value());
-  auto server = listener.accept(2000ms);
-  ASSERT_TRUE(server.has_value());
-
-  FaultPlan plan;
-  plan.throttle_bytes_per_sec = 4;
-  client->set_faults(std::make_shared<ConnectionFaults>(
-      plan, /*seed=*/1, /*doomed=*/false, nullptr));
-  ASSERT_TRUE(server->write_all("ok", 2000ms));
+  ThrottledPair pair;
+  ASSERT_TRUE(pair.client.has_value() && pair.server.has_value());
+  ASSERT_TRUE(pair.server->write_all("ok", 2000ms));
+  ASSERT_TRUE(pair.client->wait_readable(2000ms));
   // A zero read clamp must never recv(fd, buf, 0) — that return of 0 would
-  // be indistinguishable from EOF. The defense paces one slice and reads
-  // at least one byte.
-  const auto first = client->read_some(1024, 2000ms);
+  // be indistinguishable from EOF. The read is held one slice, then reads
+  // exactly one byte.
+  const auto held = pair.client->read_nb(1024);
+  ASSERT_TRUE(held.ok);
+  ASSERT_TRUE(held.retry_at.has_value());
+  std::this_thread::sleep_until(*held.retry_at);
+  const auto first = pair.client->read_nb(1024);
   ASSERT_TRUE(first.ok);
   EXPECT_FALSE(first.eof);
-  EXPECT_FALSE(first.data.empty());
+  EXPECT_EQ(first.data, "o");
 }
 
 }  // namespace
