@@ -8,23 +8,8 @@
 // (capacity ~3 rps).
 #include "bench_common.h"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdint>
-#include <limits>
-#include <optional>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "obs/audit.h"
-#include "obs/json.h"
-#include "obs/phase.h"
-#include "obs/registry.h"
-#include "runtime/client.h"
-#include "runtime/mini_cluster.h"
-#include "util/rng.h"
 #include "workload/closed_loop.h"
 
 namespace {
@@ -35,46 +20,6 @@ workload::ExperimentSpec base_spec() {
   workload::ExperimentSpec spec = bench::meiko_spec(1, 1536 * 1024, 64);
   spec.policy = "round-robin";  // one node: scheduling is moot
   return spec;
-}
-
-/// The real-sockets runtime under a multi-client closed loop: one node,
-/// `max_workers` worker threads, `clients` client threads each issuing
-/// `per_client` sequential requests against a CGI endpoint that holds a
-/// worker for ~2 ms (standing in for disk/CPU service time). Returns
-/// achieved requests/second. With max_workers=1 this is the old serial
-/// accept loop; with a real pool the clients are served in parallel.
-double run_runtime_closed_loop(int max_workers, int clients, int per_client) {
-  const fs::Docbase docbase = fs::make_uniform(
-      8, 2048, 1, fs::Placement::kRoundRobin, nullptr, "/docs");
-  runtime::MiniClusterOptions options;
-  options.max_workers = max_workers;
-  runtime::MiniCluster cluster(1, docbase, options);
-  cluster.docs_mutable().register_cgi(
-      "/cgi/work.cgi", 0, [](const http::Request&, std::string_view) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        return http::make_ok("done", "text/plain");
-      });
-  cluster.start();
-  const std::string url = "http://127.0.0.1:" +
-                          std::to_string(cluster.port(0)) + "/cgi/work.cgi";
-  std::atomic<int> ok{0};
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&ok, &url, per_client] {
-      for (int i = 0; i < per_client; ++i) {
-        const auto result = runtime::fetch(url);
-        if (result && http::code(result->response.status) == 200) ++ok;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double elapsed_s = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-  cluster.stop();
-  return elapsed_s > 0.0 ? static_cast<double>(ok.load()) / elapsed_s : 0.0;
 }
 
 }  // namespace
@@ -124,795 +69,5 @@ int main() {
       "and mass drops at a pinned 'offered' rate, while the closed loop "
       "self-throttles — throughput plateaus at capacity, latency grows "
       "only with the user population, and almost nothing drops.");
-
-  // --- Perf trajectory seed: an instrumented multi-node closed loop -------
-  // 4-node Meiko under the sweb policy with the decision audit attached;
-  // the machine-readable report (rps, latency percentiles, redirect ratio,
-  // prediction-error summary) lands in BENCH_PR2.json so future PRs can
-  // diff the scheduler's accuracy, not just its speed.
-  std::printf("\ninstrumented closed loop (4-node Meiko, sweb policy):\n");
-  obs::Registry registry;
-  obs::DecisionAudit audit;
-  audit.bind_registry(registry);
-  workload::ExperimentSpec spec = bench::meiko_spec(4, 256 * 1024, 96);
-  spec.policy = "sweb";
-  spec.registry = &registry;
-  spec.audit = &audit;
-  workload::ClosedLoopSpec loop;
-  loop.num_clients = 32;
-  loop.think_mean_s = 1.0;
-  loop.duration_s = 60.0;
-  const auto run = workload::run_closed_loop(spec, loop);
-
-  const obs::RegistrySnapshot snap = registry.snapshot();
-  const auto quantiles = [&snap](const char* name, obs::JsonWriter& w) {
-    w.begin_object();
-    const auto it = snap.histograms.find(name);
-    if (it == snap.histograms.end()) {
-      w.key("count").value(std::uint64_t{0});
-      w.key("p50_s").value(0.0);
-      w.key("p95_s").value(0.0);
-    } else {
-      w.key("count").value(it->second.count);
-      w.key("p50_s").value(obs::histogram_quantile(it->second, 0.50));
-      w.key("p95_s").value(obs::histogram_quantile(it->second, 0.95));
-    }
-    w.end_object();
-  };
-  const auto counter = [&snap](const char* name) {
-    const auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
-  };
-
-  obs::JsonWriter w;
-  w.begin_object();
-  w.key("bench").value("closedloop");
-  w.key("pr").value(2);
-  w.key("config").begin_object();
-  w.key("nodes").value(4);
-  w.key("policy").value("sweb");
-  w.key("users").value(loop.num_clients);
-  w.key("think_mean_s").value(loop.think_mean_s);
-  w.key("duration_s").value(loop.duration_s);
-  w.key("file_bytes").value(std::int64_t{256 * 1024});
-  w.end_object();
-  w.key("rps").value(run.throughput_rps);
-  w.key("latency").begin_object();
-  w.key("mean_s").value(run.summary.mean_response);
-  w.key("p50_s").value(run.summary.p50_response);
-  w.key("p95_s").value(run.summary.p95_response);
-  w.end_object();
-  w.key("redirect_ratio").value(run.summary.redirect_rate());
-  w.key("drop_rate").value(run.summary.drop_rate());
-  w.key("predict_error").begin_object();
-  w.key("decisions").value(counter("broker.audit.decisions"));
-  w.key("joined").value(counter("broker.audit.joined"));
-  w.key("mispredicts").value(counter("oracle.mispredict"));
-  w.key("t_redirection");
-  quantiles("broker.predict_error.t_redirection", w);
-  w.key("t_data");
-  quantiles("broker.predict_error.t_data", w);
-  w.key("t_cpu");
-  quantiles("broker.predict_error.t_cpu", w);
-  w.key("total");
-  quantiles("broker.predict_error.total", w);
-  w.end_object();
-  w.end_object();
-
-  std::printf(
-      "  rps %.1f  mean %.2fs  p95 %.2fs  redirects %.0f%%  "
-      "decisions %llu joined %llu\n",
-      run.throughput_rps, run.summary.mean_response,
-      run.summary.p95_response, 100.0 * run.summary.redirect_rate(),
-      static_cast<unsigned long long>(counter("broker.audit.decisions")),
-      static_cast<unsigned long long>(counter("broker.audit.joined")));
-  if (!bench::write_json_report("BENCH_PR2.json", w.str())) return 1;
-
-  // --- PR3: the sockets runtime, serial accept loop vs worker pool --------
-  // Same closed-loop lens pointed at the real server: 8 client threads,
-  // ~2 ms service time per request. The serial configuration (1 worker) is
-  // the old head-of-line-blocked accept loop; the pooled one serves the
-  // clients concurrently.
-  std::printf("\nruntime closed loop (1 node, 8 clients, ~2 ms service):\n");
-  constexpr int kClients = 8;
-  constexpr int kPerClient = 25;
-  constexpr int kPoolWorkers = 16;
-  const double serial_rps = run_runtime_closed_loop(1, kClients, kPerClient);
-  const double pooled_rps =
-      run_runtime_closed_loop(kPoolWorkers, kClients, kPerClient);
-  const double speedup = serial_rps > 0.0 ? pooled_rps / serial_rps : 0.0;
-  std::printf("  serial (1 worker)   %7.1f rps\n", serial_rps);
-  std::printf("  pooled (%2d workers) %7.1f rps   (%.1fx)\n", kPoolWorkers,
-              pooled_rps, speedup);
-  bench::print_note(
-      "expected shape: the pooled node overlaps the clients' service "
-      "times, so multi-client rps rises well above the serial baseline "
-      "(bounded by min(clients, workers)).");
-
-  obs::JsonWriter pr3;
-  pr3.begin_object();
-  pr3.key("bench").value("closedloop");
-  pr3.key("pr").value(3);
-  pr3.key("config").begin_object();
-  pr3.key("nodes").value(1);
-  pr3.key("clients").value(kClients);
-  pr3.key("requests_per_client").value(kPerClient);
-  pr3.key("service_ms").value(2.0);
-  pr3.key("pool_workers").value(kPoolWorkers);
-  pr3.end_object();
-  pr3.key("serial_rps").value(serial_rps);
-  pr3.key("pooled_rps").value(pooled_rps);
-  pr3.key("speedup").value(speedup);
-  pr3.end_object();
-  if (!bench::write_json_report("BENCH_PR3.json", pr3.str())) return 1;
-
-  // --- PR4: liveness drill — crash a node under closed-loop load ----------
-  // 4-node runtime cluster with a fast loadd tick (50 ms heartbeat, 250 ms
-  // staleness). Closed-loop clients hammer nodes 0-2 while node 3 crashes
-  // and later recovers. Measured: how long the failure detector takes to
-  // rope the node off, how many requests the origin fallback had to bridge
-  // during the blind window, and that no client ever saw an error.
-  std::printf("\nliveness drill (4 nodes, crash + recover under load):\n");
-  const double detect_budget_s = 0.25;  // the staleness timeout
-  runtime::MiniClusterOptions chaos_options;
-  chaos_options.heartbeat_period = std::chrono::milliseconds(50);
-  chaos_options.staleness_timeout = std::chrono::milliseconds(250);
-  const fs::Docbase chaos_docs = fs::make_uniform(
-      16, 8192, 4, fs::Placement::kRoundRobin, nullptr, "/docs");
-  runtime::MiniCluster chaos(4, chaos_docs, chaos_options);
-  chaos.start();
-
-  std::atomic<bool> chaos_stop{false};
-  std::atomic<std::uint64_t> chaos_ok{0};
-  std::atomic<std::uint64_t> chaos_failed{0};
-  std::atomic<std::uint64_t> chaos_fallbacks{0};
-  std::vector<std::thread> chaos_clients;
-  for (int c = 0; c < 8; ++c) {
-    chaos_clients.emplace_back([&chaos, &chaos_stop, &chaos_ok, &chaos_failed,
-                                &chaos_fallbacks, c] {
-      for (int i = 0; !chaos_stop.load(std::memory_order_relaxed); ++i) {
-        const std::string url =
-            "http://127.0.0.1:" + std::to_string(chaos.port((c + i) % 3)) +
-            "/docs/file" + std::to_string((c * 5 + i) % 16) + ".html";
-        const auto result = runtime::fetch(url);
-        if (result && http::code(result->response.status) == 200) {
-          ++chaos_ok;
-          if (result->origin_fallback) ++chaos_fallbacks;
-        } else {
-          ++chaos_failed;
-        }
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // warm up
-
-  const auto crash_at = std::chrono::steady_clock::now();
-  chaos.crash(3);
-  while (chaos.board().snapshot(3).available) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  const double detect_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - crash_at)
-                              .count();
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // routed-around
-
-  const auto recover_at = std::chrono::steady_clock::now();
-  chaos.recover(3);
-  while (!chaos.board().snapshot(3).available) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  const double rejoin_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - recover_at)
-                              .count();
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // re-admitted
-  chaos_stop.store(true);
-  for (auto& t : chaos_clients) t.join();
-  chaos.stop();
-
-  std::printf("  requests %llu  failed %llu  fallback-bridged %llu\n",
-              static_cast<unsigned long long>(chaos_ok.load()),
-              static_cast<unsigned long long>(chaos_failed.load()),
-              static_cast<unsigned long long>(chaos_fallbacks.load()));
-  std::printf("  detected down in %.0f ms (budget %.0f ms)  rejoined in "
-              "%.0f ms\n",
-              1000.0 * detect_s, 1000.0 * detect_budget_s, 1000.0 * rejoin_s);
-  bench::print_note(
-      "expected shape: zero failures — the origin fallback bridges the "
-      "blind window between the crash and detection, detection lands "
-      "within one staleness timeout, and recovery is immediate (the "
-      "rejoining node's first heartbeat re-admits it).");
-
-  obs::JsonWriter pr4;
-  pr4.begin_object();
-  pr4.key("bench").value("closedloop");
-  pr4.key("pr").value(4);
-  pr4.key("config").begin_object();
-  pr4.key("nodes").value(4);
-  pr4.key("clients").value(8);
-  pr4.key("heartbeat_ms").value(std::int64_t{50});
-  pr4.key("staleness_ms").value(std::int64_t{250});
-  pr4.end_object();
-  pr4.key("requests_ok").value(chaos_ok.load());
-  pr4.key("requests_failed").value(chaos_failed.load());
-  pr4.key("fallback_bridged").value(chaos_fallbacks.load());
-  pr4.key("detect_s").value(detect_s);
-  pr4.key("detect_budget_s").value(detect_budget_s);
-  pr4.key("rejoin_s").value(rejoin_s);
-  pr4.end_object();
-  if (!bench::write_json_report("BENCH_PR4.json", pr4.str())) return 1;
-
-  // --- PR5: degraded-link drill — one node behind a lossy/slow pipe -------
-  // 4-node runtime cluster; node 3's link is chaos-injected (latency +
-  // jitter, byte throttle, torn writes, probabilistic mid-stream resets)
-  // while 8 closed-loop clients with the real retry policy hammer all four
-  // nodes. Measured: client-visible errors (must be zero — the retry
-  // policy absorbs every injected fault), the p50/p99 latency the
-  // degradation costs, and how many retries/resets it took.
-  std::printf("\ndegraded-link drill (4 nodes, node 3 lossy + slow):\n");
-  const double p99_budget_s = 2.0;
-  runtime::FaultPlan lossy;
-  lossy.read_delay = std::chrono::milliseconds(5);
-  lossy.write_delay = std::chrono::milliseconds(5);
-  lossy.delay_jitter = std::chrono::milliseconds(3);
-  lossy.throttle_bytes_per_sec = 512 * 1024;
-  lossy.torn_write_max_bytes = 512;
-  lossy.reset_probability = 0.1;
-  lossy.reset_after_bytes = 256;
-  runtime::MiniClusterOptions degraded_options;
-  degraded_options.chaos = lossy;
-  degraded_options.chaos_node = 3;
-  // Forensics on: every chaos-faulted request (and any request past the
-  // budget) leaves a slow-log record with its full phase vector.
-  degraded_options.slow_budget = std::chrono::milliseconds(250);
-  const fs::Docbase degraded_docs = fs::make_uniform(
-      16, 8192, 4, fs::Placement::kRoundRobin, nullptr, "/docs");
-  runtime::MiniCluster degraded(4, degraded_docs, degraded_options);
-  degraded.start();
-
-  constexpr int kChaosClients = 8;
-  constexpr int kChaosPerClient = 40;
-  std::atomic<std::uint64_t> degraded_ok{0};
-  std::atomic<std::uint64_t> degraded_failed{0};
-  std::atomic<std::uint64_t> degraded_retried{0};
-  // Streaming log-bucket histogram instead of stored samples: every client
-  // thread records lock-free, percentiles come out of the buckets, memory
-  // stays flat however long the drill runs.
-  obs::Histogram latency_hist(obs::log_latency_bounds());
-  std::vector<std::thread> degraded_clients;
-  for (int c = 0; c < kChaosClients; ++c) {
-    degraded_clients.emplace_back([&degraded, &degraded_ok, &degraded_failed,
-                                   &degraded_retried, &latency_hist, c] {
-      runtime::FetchOptions fo;
-      fo.registry = &degraded.registry();
-      fo.retry.seed = 0x5eb50000ULL + static_cast<std::uint64_t>(c);
-      runtime::FetchSession session(fo);
-      for (int i = 0; i < kChaosPerClient; ++i) {
-        // Every fourth request hits the degraded node directly; the rest
-        // reach it via the broker's redirects when it looks idle.
-        const std::string url =
-            "http://127.0.0.1:" +
-            std::to_string(degraded.port((c + i) % 4)) + "/docs/file" +
-            std::to_string((c * 7 + i) % 16) + ".html";
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto result = session.fetch(url);
-        const double latency_s = std::chrono::duration<double>(
-                                     std::chrono::steady_clock::now() - t0)
-                                     .count();
-        if (result && http::code(result->response.status) == 200 &&
-            result->response.body.size() == 8192) {
-          ++degraded_ok;
-          if (result->attempts > 1) ++degraded_retried;
-          latency_hist.observe(latency_s);
-        } else {
-          ++degraded_failed;
-        }
-      }
-    });
-  }
-  for (auto& t : degraded_clients) t.join();
-  const std::uint64_t resets_injected =
-      degraded.node(3).chaos().resets_injected();
-  const std::uint64_t faulted =
-      degraded.node(3).chaos().connections_faulted();
-  const obs::RegistrySnapshot degraded_snap = degraded.registry().snapshot();
-  const auto degraded_counter = [&degraded_snap](const char* name) {
-    const auto it = degraded_snap.counters.find(name);
-    return it == degraded_snap.counters.end() ? std::uint64_t{0}
-                                              : it->second;
-  };
-  const std::uint64_t degraded_slow_records =
-      degraded.slow_log().total_recorded();
-  degraded.stop();
-
-  const obs::RegistrySnapshot::HistogramValue degraded_latency =
-      obs::histogram_value(latency_hist);
-  const double chaos_p50_s = obs::histogram_quantile(degraded_latency, 0.50);
-  const double chaos_p99_s = obs::histogram_quantile(degraded_latency, 0.99);
-
-  std::printf("  requests %llu  failed %llu  retried %llu  "
-              "resets-injected %llu\n",
-              static_cast<unsigned long long>(degraded_ok.load()),
-              static_cast<unsigned long long>(degraded_failed.load()),
-              static_cast<unsigned long long>(degraded_retried.load()),
-              static_cast<unsigned long long>(resets_injected));
-  std::printf("  latency p50 %.0f ms  p99 %.0f ms  (budget %.0f ms)\n",
-              1000.0 * chaos_p50_s, 1000.0 * chaos_p99_s,
-              1000.0 * p99_budget_s);
-  bench::print_note(
-      "expected shape: zero failures — the retry policy (backoff, "
-      "Retry-After, origin fallback) absorbs the injected resets while "
-      "torn/throttled transfers merely slow down; p99 stays bounded "
-      "because every fault is either survived in-line or retried within "
-      "the policy's deadline budget.");
-
-  obs::JsonWriter pr5;
-  pr5.begin_object();
-  pr5.key("bench").value("closedloop");
-  pr5.key("pr").value(5);
-  pr5.key("config").begin_object();
-  pr5.key("nodes").value(4);
-  pr5.key("degraded_node").value(3);
-  pr5.key("clients").value(kChaosClients);
-  pr5.key("requests_per_client").value(kChaosPerClient);
-  pr5.key("read_delay_ms").value(std::int64_t{5});
-  pr5.key("write_delay_ms").value(std::int64_t{5});
-  pr5.key("jitter_ms").value(std::int64_t{3});
-  pr5.key("throttle_bytes_per_sec").value(std::int64_t{512 * 1024});
-  pr5.key("torn_write_max_bytes").value(std::int64_t{512});
-  pr5.key("reset_probability").value(0.1);
-  pr5.key("reset_after_bytes").value(std::int64_t{256});
-  pr5.end_object();
-  pr5.key("requests_ok").value(degraded_ok.load());
-  pr5.key("requests_failed").value(degraded_failed.load());
-  pr5.key("requests_retried").value(degraded_retried.load());
-  pr5.key("client_retries").value(degraded_counter("client.retries"));
-  pr5.key("retry_exhausted")
-      .value(degraded_counter("client.retry_exhausted"));
-  pr5.key("connections_faulted").value(faulted);
-  pr5.key("resets_injected").value(resets_injected);
-  pr5.key("latency").begin_object();
-  pr5.key("p50_s").value(chaos_p50_s);
-  pr5.key("p99_s").value(chaos_p99_s);
-  pr5.key("p99_budget_s").value(p99_budget_s);
-  pr5.key("p99_within_budget").value(chaos_p99_s <= p99_budget_s);
-  pr5.key("slow_records").value(degraded_slow_records);
-  pr5.end_object();
-  pr5.end_object();
-  if (!bench::write_json_report("BENCH_PR5.json", pr5.str())) return 1;
-
-  // --- PR6: request-lifecycle telemetry under the standardized schema -----
-  // A clean 4-node baseline with the per-phase histograms live, reported in
-  // the sweb-bench/1 shape that tools/bench_compare validates: three fixed
-  // scenarios (baseline, crash_drill, degraded_link) so every future PR
-  // lands a directly comparable point on the trajectory. The drill numbers
-  // reuse the runs above; the baseline is measured fresh here.
-  std::printf("\nphase-telemetry baseline (4 nodes, per-phase breakdown):\n");
-  runtime::MiniClusterOptions base6_options;
-  base6_options.slow_budget = std::chrono::milliseconds(250);
-  const fs::Docbase base6_docs = fs::make_uniform(
-      16, 8192, 4, fs::Placement::kRoundRobin, nullptr, "/docs");
-  runtime::MiniCluster base6(4, base6_docs, base6_options);
-  base6.docs_mutable().register_cgi(
-      "/cgi/work.cgi", 0, [](const http::Request&, std::string_view) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        return http::make_ok("done", "text/plain");
-      });
-  base6.start();
-  constexpr int kBaseClients = 8;
-  constexpr int kBasePerClient = 40;
-  std::atomic<std::uint64_t> base_ok{0};
-  std::atomic<std::uint64_t> base_failed{0};
-  const auto base_start = std::chrono::steady_clock::now();
-  std::vector<std::thread> base_clients;
-  for (int c = 0; c < kBaseClients; ++c) {
-    base_clients.emplace_back([&base6, &base_ok, &base_failed, c] {
-      for (int i = 0; i < kBasePerClient; ++i) {
-        // One CGI request in eight keeps the cgi_exec phase populated; the
-        // rest are static documents spread over all four nodes.
-        const std::string url =
-            i % 8 == 0
-                ? "http://127.0.0.1:" +
-                      std::to_string(base6.port((c + i) % 4)) +
-                      "/cgi/work.cgi"
-                : "http://127.0.0.1:" +
-                      std::to_string(base6.port((c + i) % 4)) +
-                      "/docs/file" + std::to_string((c * 7 + i) % 16) +
-                      ".html";
-        const auto result = runtime::fetch(url);
-        if (result && http::code(result->response.status) == 200) {
-          ++base_ok;
-        } else {
-          ++base_failed;
-        }
-      }
-    });
-  }
-  for (auto& t : base_clients) t.join();
-  const double base_elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    base_start)
-          .count();
-  const double base_rps =
-      base_elapsed_s > 0.0
-          ? static_cast<double>(base_ok.load()) / base_elapsed_s
-          : 0.0;
-  const std::uint64_t base_slow_records = base6.slow_log().total_recorded();
-  const obs::RegistrySnapshot base_snap = base6.registry().snapshot();
-  base6.stop();
-
-  // Cluster-wide phase digest: merge the four nodes' per-phase histograms
-  // (identical √2 ladders, so the merge is exact, not an approximation).
-  const auto merged_phase = [&base_snap](const char* name)
-      -> std::optional<obs::RegistrySnapshot::HistogramValue> {
-    std::optional<obs::RegistrySnapshot::HistogramValue> acc;
-    for (int n = 0; n < 4; ++n) {
-      const auto it = base_snap.histograms.find(
-          "node." + std::to_string(n) + ".phase." + name);
-      if (it == base_snap.histograms.end()) continue;
-      if (!acc) {
-        acc = it->second;
-      } else if (const auto merged =
-                     obs::merge_histogram_values(*acc, it->second)) {
-        acc = *merged;
-      }
-    }
-    return acc;
-  };
-
-  metrics::Table phase_table({"phase", "count", "p50", "p95", "p99"});
-  obs::JsonWriter pr6;
-  pr6.begin_object();
-  pr6.key("schema").value("sweb-bench/1");
-  pr6.key("bench").value("closedloop");
-  pr6.key("pr").value(6);
-  pr6.key("scenarios").begin_object();
-  pr6.key("baseline").begin_object();
-  pr6.key("config").begin_object();
-  pr6.key("nodes").value(4);
-  pr6.key("clients").value(kBaseClients);
-  pr6.key("requests_per_client").value(kBasePerClient);
-  pr6.key("file_bytes").value(std::int64_t{8192});
-  pr6.key("slow_budget_ms").value(std::int64_t{250});
-  pr6.end_object();
-  pr6.key("rps").value(base_rps);
-  pr6.key("requests_ok").value(base_ok.load());
-  pr6.key("requests_failed").value(base_failed.load());
-  pr6.key("slow_records").value(base_slow_records);
-  const auto total_phase = merged_phase("total");
-  pr6.key("latency").begin_object();
-  pr6.key("p50_s").value(
-      total_phase ? obs::histogram_quantile(*total_phase, 0.50) : 0.0);
-  pr6.key("p95_s").value(
-      total_phase ? obs::histogram_quantile(*total_phase, 0.95) : 0.0);
-  pr6.key("p99_s").value(
-      total_phase ? obs::histogram_quantile(*total_phase, 0.99) : 0.0);
-  pr6.end_object();
-  pr6.key("phases").begin_object();
-  for (const obs::Phase phase : obs::all_phases()) {
-    const char* name = obs::phase_name(phase);
-    const auto merged = merged_phase(name);
-    const std::uint64_t count = merged ? merged->count : 0;
-    const double p50 =
-        merged && count > 0 ? obs::histogram_quantile(*merged, 0.50) : 0.0;
-    const double p95 =
-        merged && count > 0 ? obs::histogram_quantile(*merged, 0.95) : 0.0;
-    const double p99 =
-        merged && count > 0 ? obs::histogram_quantile(*merged, 0.99) : 0.0;
-    pr6.key(name).begin_object();
-    pr6.key("count").value(count);
-    pr6.key("p50_s").value(p50);
-    pr6.key("p95_s").value(p95);
-    pr6.key("p99_s").value(p99);
-    pr6.end_object();
-    char p50_cell[32], p95_cell[32], p99_cell[32];
-    std::snprintf(p50_cell, sizeof p50_cell, "%.2fms", 1e3 * p50);
-    std::snprintf(p95_cell, sizeof p95_cell, "%.2fms", 1e3 * p95);
-    std::snprintf(p99_cell, sizeof p99_cell, "%.2fms", 1e3 * p99);
-    phase_table.add_row({name, std::to_string(count), p50_cell, p95_cell,
-                         p99_cell});
-  }
-  pr6.end_object();  // phases
-  pr6.end_object();  // baseline
-  pr6.key("crash_drill").begin_object();
-  pr6.key("requests_ok").value(chaos_ok.load());
-  pr6.key("requests_failed").value(chaos_failed.load());
-  pr6.key("fallback_bridged").value(chaos_fallbacks.load());
-  pr6.key("detect_s").value(detect_s);
-  pr6.key("detect_budget_s").value(detect_budget_s);
-  pr6.key("rejoin_s").value(rejoin_s);
-  pr6.end_object();
-  pr6.key("degraded_link").begin_object();
-  pr6.key("requests_ok").value(degraded_ok.load());
-  pr6.key("requests_failed").value(degraded_failed.load());
-  pr6.key("requests_retried").value(degraded_retried.load());
-  pr6.key("connections_faulted").value(faulted);
-  pr6.key("resets_injected").value(resets_injected);
-  pr6.key("slow_records").value(degraded_slow_records);
-  pr6.key("latency").begin_object();
-  pr6.key("p50_s").value(chaos_p50_s);
-  pr6.key("p99_s").value(chaos_p99_s);
-  pr6.end_object();
-  pr6.end_object();  // degraded_link
-  pr6.end_object();  // scenarios
-  pr6.end_object();
-
-  std::printf("%s", phase_table.render().c_str());
-  std::printf("  rps %.1f  ok %llu  failed %llu  slow-records %llu\n",
-              base_rps, static_cast<unsigned long long>(base_ok.load()),
-              static_cast<unsigned long long>(base_failed.load()),
-              static_cast<unsigned long long>(base_slow_records));
-  bench::print_note(
-      "expected shape: doc_read/write dominate the static requests, "
-      "cgi_exec sits near its 1 ms sleep, queue_wait stays near zero with "
-      "idle workers, and the phase sum tracks the total column.");
-  if (!bench::write_json_report("BENCH_PR6.json", pr6.str())) return 1;
-
-  // --- PR8: zero-copy page cache under a Zipf request stream --------------
-  // The same closed loop swept over three per-node cache budgets: 0 (every
-  // request takes the copy path — the pre-cache server), a tight budget
-  // that only fits the Zipf head (the tail keeps churning the LRU), and a
-  // warm budget that holds the whole docbase after first touch. Clients
-  // fetch with the at-most-once marker so every serve is local — the sweep
-  // measures copy-path vs writev hot-path cost, not redirect placement.
-  std::printf(
-      "\nzero-copy cache sweep (4 nodes, Zipf s=1.1, 24 x 1 MiB docs):\n");
-  constexpr int kCacheNodes = 4;
-  constexpr int kCacheClients = 8;
-  constexpr int kCachePerClient = 80;
-  constexpr std::size_t kCacheDocCount = 24;
-  constexpr std::uint64_t kCacheDocBytes = 1024 * 1024;
-  struct CachePoint {
-    const char* label;
-    std::uint64_t budget_bytes;
-    double rps = 0.0;
-    double hit_rate = 0.0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    double doc_read_p50_s = 0.0;
-    double doc_read_p95_s = 0.0;
-    std::uint64_t ok = 0;
-    std::uint64_t failed = 0;
-    int status_hit_nodes = 0;  // nodes whose /sweb/status reports hits > 0
-  };
-  CachePoint sweep[] = {
-      {"copy-path (cache off)", 0},
-      {"tight (8 MiB/node)", 8ull * 1024 * 1024},
-      {"warm (64 MiB/node)", 64ull * 1024 * 1024},
-  };
-  const fs::Docbase cache_docs =
-      fs::make_uniform(kCacheDocCount, kCacheDocBytes, kCacheNodes,
-                       fs::Placement::kRoundRobin, nullptr, "/cache");
-  for (CachePoint& point : sweep) {
-    runtime::MiniClusterOptions opt;
-    opt.cache_bytes_per_node = point.budget_bytes;
-    runtime::MiniCluster sweep_cluster(kCacheNodes, cache_docs, opt);
-    sweep_cluster.start();
-    // Steady-state measurement: touch every document at every node first
-    // so the timed window isn't dominated by compulsory misses (under the
-    // tight budget the warm-up still churns — that is the point of it).
-    for (int n = 0; n < kCacheNodes; ++n) {
-      for (std::size_t d = 0; d < kCacheDocCount; ++d) {
-        (void)runtime::fetch(
-            "http://127.0.0.1:" + std::to_string(sweep_cluster.port(n)) +
-            "/cache/file" + std::to_string(d) + ".tiff?sweb-hop=1");
-      }
-    }
-    // Baselines taken after warm-up: hit rates and phase latencies below
-    // describe the timed window only.
-    std::uint64_t warm_hits = 0;
-    std::uint64_t warm_misses = 0;
-    for (int n = 0; n < kCacheNodes; ++n) {
-      warm_hits += sweep_cluster.caches().node(n).hits();
-      warm_misses += sweep_cluster.caches().node(n).misses();
-    }
-    const obs::RegistrySnapshot pre_snap =
-        sweep_cluster.registry().snapshot();
-    std::atomic<std::uint64_t> sweep_ok{0};
-    std::atomic<std::uint64_t> sweep_failed{0};
-    const auto sweep_start = std::chrono::steady_clock::now();
-    std::vector<std::thread> sweep_clients;
-    for (int c = 0; c < kCacheClients; ++c) {
-      sweep_clients.emplace_back([&sweep_cluster, &sweep_ok, &sweep_failed,
-                                  c] {
-        util::Rng rng(static_cast<std::uint64_t>(1000 + c));
-        for (int i = 0; i < kCachePerClient; ++i) {
-          // Zipf-popular document, fetched directly at a rotating node with
-          // the hop marker set: the contacted node must serve locally, so
-          // every node sees the popular head and warms its own cache.
-          const std::size_t doc = rng.zipf(kCacheDocCount, 1.1);
-          const std::string url =
-              "http://127.0.0.1:" +
-              std::to_string(sweep_cluster.port((c + i) % kCacheNodes)) +
-              "/cache/file" + std::to_string(doc) + ".tiff?sweb-hop=1";
-          const auto result = runtime::fetch(url);
-          if (result && http::code(result->response.status) == 200 &&
-              result->response.body.size() == kCacheDocBytes) {
-            ++sweep_ok;
-          } else {
-            ++sweep_failed;
-          }
-        }
-      });
-    }
-    for (auto& t : sweep_clients) t.join();
-    const double sweep_elapsed_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      sweep_start)
-            .count();
-    point.ok = sweep_ok.load();
-    point.failed = sweep_failed.load();
-    point.rps = sweep_elapsed_s > 0.0
-                    ? static_cast<double>(point.ok) / sweep_elapsed_s
-                    : 0.0;
-    for (int n = 0; n < kCacheNodes; ++n) {
-      point.hits += sweep_cluster.caches().node(n).hits();
-      point.misses += sweep_cluster.caches().node(n).misses();
-      // Cross-check residency through the wire: the status endpoint must
-      // agree with the in-process counters on every node. (Checked before
-      // the warm-up subtraction — the endpoint reports lifetime totals.)
-      const auto status = runtime::fetch(
-          "http://127.0.0.1:" + std::to_string(sweep_cluster.port(n)) +
-          "/sweb/status");
-      if (!status) continue;
-      const auto doc = obs::json_parse(status->response.body);
-      if (!doc) continue;
-      const obs::JsonValue* cache = doc->find("cache");
-      if (cache != nullptr && cache->number_or("hits", 0.0) > 0.0) {
-        ++point.status_hit_nodes;
-      }
-    }
-    point.hits -= warm_hits;
-    point.misses -= warm_misses;
-    point.hit_rate =
-        point.hits + point.misses > 0
-            ? static_cast<double>(point.hits) /
-                  static_cast<double>(point.hits + point.misses)
-            : 0.0;
-    // Timed-window doc_read digest: per-node post-minus-pre bucket deltas
-    // (identical ladders), merged across the nodes. Extremes cannot be
-    // subtracted, so the delta keeps the infinities — quantiles over the
-    // window are unclamped, which only widens them.
-    const obs::RegistrySnapshot sweep_snap =
-        sweep_cluster.registry().snapshot();
-    std::optional<obs::RegistrySnapshot::HistogramValue> doc_read;
-    for (int n = 0; n < kCacheNodes; ++n) {
-      const std::string key =
-          "node." + std::to_string(n) + ".phase.doc_read";
-      const auto it = sweep_snap.histograms.find(key);
-      if (it == sweep_snap.histograms.end()) continue;
-      obs::RegistrySnapshot::HistogramValue window = it->second;
-      if (const auto pre = pre_snap.histograms.find(key);
-          pre != pre_snap.histograms.end() &&
-          pre->second.bucket_counts.size() ==
-              window.bucket_counts.size()) {
-        for (std::size_t b = 0; b < window.bucket_counts.size(); ++b) {
-          window.bucket_counts[b] -= pre->second.bucket_counts[b];
-        }
-        window.count -= pre->second.count;
-        window.sum -= pre->second.sum;
-        window.min_value = std::numeric_limits<double>::infinity();
-        window.max_value = -std::numeric_limits<double>::infinity();
-      }
-      if (!doc_read) {
-        doc_read = window;
-      } else if (const auto merged =
-                     obs::merge_histogram_values(*doc_read, window)) {
-        doc_read = *merged;
-      }
-    }
-    if (doc_read) {
-      point.doc_read_p50_s = obs::histogram_quantile(*doc_read, 0.50);
-      point.doc_read_p95_s = obs::histogram_quantile(*doc_read, 0.95);
-    }
-    sweep_cluster.stop();
-    std::printf(
-        "  %-22s rps %7.1f  hit-rate %5.1f%%  doc_read p95 %.3fms  "
-        "status-hit nodes %d/%d\n",
-        point.label, point.rps, 100.0 * point.hit_rate,
-        1e3 * point.doc_read_p95_s, point.status_hit_nodes, kCacheNodes);
-  }
-  bench::print_note(
-      "expected shape: the warm sweep serves nearly everything from the "
-      "page cache (hit rate -> 1, doc_read p95 collapses — the phase is a "
-      "hashmap probe instead of a content copy) and rps rises over the "
-      "copy-path point; the tight budget lands between, with the Zipf head "
-      "resident and the tail evicting.");
-
-  obs::JsonWriter pr8;
-  pr8.begin_object();
-  pr8.key("schema").value("sweb-bench/1");
-  pr8.key("bench").value("closedloop");
-  pr8.key("pr").value(8);
-  pr8.key("scenarios").begin_object();
-  // The fixed trajectory scenarios reuse this run's PR6 measurements — the
-  // baseline cluster already serves through the (default 8 MiB) cache, so
-  // those numbers ARE the zero-copy hot path.
-  pr8.key("baseline").begin_object();
-  pr8.key("config").begin_object();
-  pr8.key("nodes").value(4);
-  pr8.key("clients").value(kBaseClients);
-  pr8.key("requests_per_client").value(kBasePerClient);
-  pr8.key("file_bytes").value(std::int64_t{8192});
-  pr8.key("slow_budget_ms").value(std::int64_t{250});
-  pr8.end_object();
-  pr8.key("rps").value(base_rps);
-  pr8.key("requests_ok").value(base_ok.load());
-  pr8.key("requests_failed").value(base_failed.load());
-  pr8.key("slow_records").value(base_slow_records);
-  pr8.key("latency").begin_object();
-  pr8.key("p50_s").value(
-      total_phase ? obs::histogram_quantile(*total_phase, 0.50) : 0.0);
-  pr8.key("p95_s").value(
-      total_phase ? obs::histogram_quantile(*total_phase, 0.95) : 0.0);
-  pr8.key("p99_s").value(
-      total_phase ? obs::histogram_quantile(*total_phase, 0.99) : 0.0);
-  pr8.end_object();
-  pr8.key("phases").begin_object();
-  for (const obs::Phase phase : obs::all_phases()) {
-    const char* name = obs::phase_name(phase);
-    const auto merged = merged_phase(name);
-    const std::uint64_t count = merged ? merged->count : 0;
-    pr8.key(name).begin_object();
-    pr8.key("count").value(count);
-    pr8.key("p50_s").value(
-        merged && count > 0 ? obs::histogram_quantile(*merged, 0.50) : 0.0);
-    pr8.key("p95_s").value(
-        merged && count > 0 ? obs::histogram_quantile(*merged, 0.95) : 0.0);
-    pr8.key("p99_s").value(
-        merged && count > 0 ? obs::histogram_quantile(*merged, 0.99) : 0.0);
-    pr8.end_object();
-  }
-  pr8.end_object();  // phases
-  pr8.end_object();  // baseline
-  pr8.key("crash_drill").begin_object();
-  pr8.key("requests_ok").value(chaos_ok.load());
-  pr8.key("requests_failed").value(chaos_failed.load());
-  pr8.key("fallback_bridged").value(chaos_fallbacks.load());
-  pr8.key("detect_s").value(detect_s);
-  pr8.key("detect_budget_s").value(detect_budget_s);
-  pr8.key("rejoin_s").value(rejoin_s);
-  pr8.end_object();
-  pr8.key("degraded_link").begin_object();
-  pr8.key("requests_ok").value(degraded_ok.load());
-  pr8.key("requests_failed").value(degraded_failed.load());
-  pr8.key("requests_retried").value(degraded_retried.load());
-  pr8.key("connections_faulted").value(faulted);
-  pr8.key("resets_injected").value(resets_injected);
-  pr8.key("slow_records").value(degraded_slow_records);
-  pr8.key("latency").begin_object();
-  pr8.key("p50_s").value(chaos_p50_s);
-  pr8.key("p99_s").value(chaos_p99_s);
-  pr8.end_object();
-  pr8.end_object();  // degraded_link
-  pr8.key("cache_sweep").begin_object();
-  pr8.key("config").begin_object();
-  pr8.key("nodes").value(kCacheNodes);
-  pr8.key("clients").value(kCacheClients);
-  pr8.key("requests_per_client").value(kCachePerClient);
-  pr8.key("doc_count").value(static_cast<std::uint64_t>(kCacheDocCount));
-  pr8.key("doc_bytes").value(kCacheDocBytes);
-  pr8.key("zipf_s").value(1.1);
-  pr8.end_object();
-  pr8.key("points").begin_array();
-  for (const CachePoint& point : sweep) {
-    pr8.begin_object();
-    pr8.key("label").value(point.label);
-    pr8.key("cache_bytes_per_node").value(point.budget_bytes);
-    pr8.key("rps").value(point.rps);
-    pr8.key("requests_ok").value(point.ok);
-    pr8.key("requests_failed").value(point.failed);
-    pr8.key("cache_hits").value(point.hits);
-    pr8.key("cache_misses").value(point.misses);
-    pr8.key("hit_rate").value(point.hit_rate);
-    pr8.key("doc_read_p50_s").value(point.doc_read_p50_s);
-    pr8.key("doc_read_p95_s").value(point.doc_read_p95_s);
-    pr8.key("status_hit_nodes").value(point.status_hit_nodes);
-    pr8.end_object();
-  }
-  pr8.end_array();  // points
-  pr8.end_object();  // cache_sweep
-  pr8.end_object();  // scenarios
-  pr8.end_object();
-  if (!bench::write_json_report("BENCH_PR8.json", pr8.str())) return 1;
   return 0;
 }

@@ -68,11 +68,6 @@ LoadBoard& LoadSystem::board(int node) {
   return boards_[static_cast<std::size_t>(node)];
 }
 
-const LoadBoard& LoadSystem::board(int node) const {
-  assert(node >= 0 && node < static_cast<int>(boards_.size()));
-  return boards_[static_cast<std::size_t>(node)];
-}
-
 LoadVector LoadSystem::sample(int node) const {
   LoadVector v;
   v.cpu_run_queue = cluster_.cpu_load_average(node);

@@ -102,7 +102,6 @@ class LoadSystem {
   void stop();
 
   [[nodiscard]] LoadBoard& board(int node);
-  [[nodiscard]] const LoadBoard& board(int node) const;
   [[nodiscard]] const LoaddParams& params() const noexcept { return params_; }
 
   /// Samples `node`'s live load from the cluster (what its own loadd sees).

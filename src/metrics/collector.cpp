@@ -102,12 +102,4 @@ double Collector::completed_rps(double t0, double t1) const {
   return static_cast<double>(n) / (t1 - t0);
 }
 
-Samples Collector::response_samples() const {
-  Samples s;
-  for (const RequestRecord& r : records_) {
-    if (r.outcome == Outcome::kCompleted) s.add(r.response_time());
-  }
-  return s;
-}
-
 }  // namespace sweb::metrics

@@ -121,9 +121,6 @@ class Collector {
   /// Completed requests per second over [t0, t1].
   [[nodiscard]] double completed_rps(double t0, double t1) const;
 
-  /// Completed-response-time samples (for custom percentiles).
-  [[nodiscard]] Samples response_samples() const;
-
   void clear() { records_.clear(); }
 
  private:

@@ -46,12 +46,6 @@ std::size_t SpanTracer::size() const {
   return spans_.size();
 }
 
-void SpanTracer::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  spans_.clear();
-  process_names_.clear();
-}
-
 namespace {
 
 /// trace_event timestamps are microseconds; emit fixed-point (never

@@ -66,7 +66,6 @@ class SpanTracer {
   void set_process_name(std::int64_t pid, std::string name);
 
   [[nodiscard]] std::size_t size() const;
-  void clear();
 
   /// {"traceEvents":[...],"displayTimeUnit":"ms"} — the Chrome JSON object
   /// format (preferred over the bare array: Perfetto and catapult both

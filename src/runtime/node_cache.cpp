@@ -18,12 +18,6 @@ void NodeCache::insert(std::string_view path, std::uint64_t bytes) {
   publish_bytes();
 }
 
-void NodeCache::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  cache_.clear();
-  publish_bytes();
-}
-
 void NodeCache::bind_registry(obs::Registry& registry,
                               const std::string& prefix) {
   const std::lock_guard<std::mutex> lock(mutex_);

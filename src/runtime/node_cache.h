@@ -41,11 +41,9 @@ class NodeCache {
   [[nodiscard]] bool contains(std::string_view path) const;
   /// Admits `path` (evicting LRU entries to fit the byte budget).
   void insert(std::string_view path, std::uint64_t bytes);
-  /// Drops everything (node restart drill).
-  void clear();
 
   /// Registers `<prefix>.hits` / `<prefix>.misses` counters and a
-  /// `<prefix>.bytes` gauge (kept current on insert/evict/clear). Call
+  /// `<prefix>.bytes` gauge (kept current on insert/evict). Call
   /// before the cache is shared across threads.
   void bind_registry(obs::Registry& registry, const std::string& prefix);
 

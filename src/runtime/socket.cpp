@@ -71,25 +71,11 @@ void FileDescriptor::reset(int fd) noexcept {
   fd_ = fd;
 }
 
-int FileDescriptor::release() noexcept {
-  const int fd = fd_;
-  fd_ = -1;
-  return fd;
-}
-
 SocketAddress SocketAddress::loopback(std::uint16_t port) noexcept {
   SocketAddress a;
   a.host = INADDR_LOOPBACK;
   a.port = port;
   return a;
-}
-
-std::string SocketAddress::to_string() const {
-  in_addr ia{};
-  ia.s_addr = htonl(host);
-  char buf[INET_ADDRSTRLEN] = {};
-  ::inet_ntop(AF_INET, &ia, buf, sizeof buf);
-  return std::string(buf) + ":" + std::to_string(port);
 }
 
 sockaddr_in SocketAddress::to_sockaddr() const noexcept {

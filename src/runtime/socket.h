@@ -51,7 +51,6 @@ class FileDescriptor {
   [[nodiscard]] int get() const noexcept { return fd_; }
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
   void reset(int fd = -1) noexcept;
-  [[nodiscard]] int release() noexcept;
 
  private:
   int fd_ = -1;
@@ -63,7 +62,6 @@ struct SocketAddress {
   std::uint16_t port = 0;
 
   [[nodiscard]] static SocketAddress loopback(std::uint16_t port) noexcept;
-  [[nodiscard]] std::string to_string() const;
   [[nodiscard]] sockaddr_in to_sockaddr() const noexcept;
 };
 

@@ -25,11 +25,6 @@ double FlowNetwork::capacity(ResourceId id) const {
   return resources_[id].capacity;
 }
 
-const std::string& FlowNetwork::resource_name(ResourceId id) const {
-  assert(id < resources_.size());
-  return resources_[id].name;
-}
-
 int FlowNetwork::active_flows(ResourceId id) const {
   assert(id < resources_.size());
   return resources_[id].active;

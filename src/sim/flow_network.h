@@ -49,7 +49,6 @@ class FlowNetwork {
   void set_capacity(ResourceId id, double capacity);
 
   [[nodiscard]] double capacity(ResourceId id) const;
-  [[nodiscard]] const std::string& resource_name(ResourceId id) const;
 
   /// Number of flows currently traversing the resource — the "channel load"
   /// the paper's loadd reports for disks and networks.

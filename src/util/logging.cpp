@@ -1,6 +1,5 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
@@ -9,7 +8,7 @@ namespace sweb::util {
 
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
+constexpr LogLevel kThreshold = LogLevel::kWarn;
 std::mutex g_emit_mutex;
 thread_local std::string t_context;
 
@@ -35,15 +34,11 @@ thread_local std::string t_context;
 
 }  // namespace
 
-void set_log_level(LogLevel level) noexcept { g_level.store(level); }
-
-LogLevel log_level() noexcept { return g_level.load(); }
+LogLevel log_level() noexcept { return kThreshold; }
 
 void set_thread_log_context(std::string context) {
   t_context = std::move(context);
 }
-
-const std::string& thread_log_context() noexcept { return t_context; }
 
 double log_uptime_seconds() noexcept {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -1,8 +1,8 @@
 // Minimal leveled logging.
 //
-// The simulator is silent by default; examples and benches raise the level
-// when a trace is informative. Logging is process-global and synchronized so
-// the real-sockets runtime can log from multiple threads.
+// Warnings and errors only: the simulator stays silent. Logging is
+// process-global and synchronized so the real-sockets runtime can log from
+// multiple threads.
 #pragma once
 
 #include <sstream>
@@ -12,15 +12,13 @@ namespace sweb::util {
 
 enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
-/// Sets the global threshold; messages below it are dropped.
-void set_log_level(LogLevel level) noexcept;
+/// The global threshold (kWarn); messages below it are dropped.
 [[nodiscard]] LogLevel log_level() noexcept;
 
 /// Attaches a context label to the calling thread (e.g. "node 3"); every
 /// line this thread logs is prefixed with it, so interleaved NodeServer
 /// output stays attributable. Empty string clears the label.
 void set_thread_log_context(std::string context);
-[[nodiscard]] const std::string& thread_log_context() noexcept;
 
 /// Seconds since the process's logging clock started (monotonic) — the
 /// timestamp every log line carries.

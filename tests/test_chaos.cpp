@@ -720,5 +720,78 @@ TEST(Chaos, DegradedNodeStillServesEveryRequestIntact) {
   EXPECT_GT(cluster.node(0).chaos().connections_faulted(), 0u);
 }
 
+
+// --- Cluster drill: one node behind a lossy, slow link ----------------------
+
+TEST(Chaos, DegradedLinkAccountsForEveryInjectedReset) {
+  // Node 3 of 4 sits behind a slow, throttled link that tears writes and
+  // resets connections, while 8 clients with the default retry policy fetch
+  // across all four nodes. Node 3 dooms each connection it admits with
+  // probability p = 0.1, and a fetch gives up after three failed attempts,
+  // so about p^3 = 1e-3 of the fetches that reach node 3 fail as the
+  // policy allows (about one run in 15 sees one). The contract is therefore
+  // exact accounting, not zero failures: every client-visible failure is a
+  // retry exhaustion, every transport failure is an injected reset, and
+  // every body that arrives is the document, byte for byte.
+  MiniClusterOptions options;
+  options.chaos_node = 3;
+  options.chaos.read_delay = 5ms;
+  options.chaos.write_delay = 5ms;
+  options.chaos.delay_jitter = 3ms;
+  options.chaos.throttle_bytes_per_sec = 512 * 1024;
+  options.chaos.torn_write_max_bytes = 512;
+  options.chaos.reset_probability = 0.1;
+  options.chaos.reset_after_bytes = 256;
+  options.slow_budget = 250ms;
+  MiniCluster cluster(4, fs::make_uniform(16, 8192, 4,
+                                          fs::Placement::kRoundRobin,
+                                          nullptr, "/docs"),
+                      options);
+  cluster.start();
+
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 40;
+  std::atomic<std::uint64_t> failed{0};
+  std::atomic<std::uint64_t> corrupt{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&cluster, &failed, &corrupt, c] {
+      FetchOptions fetch_options;
+      fetch_options.registry = &cluster.registry();
+      fetch_options.retry.seed = 0x5eb50000ULL + static_cast<std::uint64_t>(c);
+      FetchSession session(fetch_options);
+      for (int i = 0; i < kPerClient; ++i) {
+        // Every fourth fetch asks node 3 directly; the rest reach it via
+        // the broker's redirects when it looks idle.
+        const std::string path =
+            "/docs/file" + std::to_string((c * 7 + i) % 16) + ".html";
+        const auto result =
+            session.fetch("http://127.0.0.1:" +
+                          std::to_string(cluster.port((c + i) % 4)) + path);
+        if (!result || http::code(result->response.status) != 200) {
+          ++failed;
+          continue;
+        }
+        const DocStore::Entry* doc = cluster.docs().find(path);
+        if (doc == nullptr || result->response.body != *doc->content) {
+          ++corrupt;
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  const std::uint64_t resets = cluster.node(3).chaos().resets_injected();
+  const std::uint64_t retries =
+      cluster.registry().counter("client.retries").value();
+  const std::uint64_t exhausted =
+      cluster.registry().counter("client.retry_exhausted").value();
+  EXPECT_EQ(corrupt.load(), 0u);
+  EXPECT_EQ(failed.load(), exhausted);
+  EXPECT_EQ(retries + exhausted, resets)
+      << "each injected reset must cost exactly one retry or exhaustion";
+  EXPECT_GT(resets, 0u);
+}
+
 }  // namespace
 }  // namespace sweb::runtime

@@ -1,12 +1,19 @@
 // HTTP/1.0 keep-alive over real sockets: multiple requests per connection.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "fs/docbase.h"
 #include "http/parser.h"
+#include "runtime/client.h"
 #include "runtime/mini_cluster.h"
 #include "runtime/socket.h"
 
@@ -14,6 +21,37 @@ namespace sweb::runtime {
 namespace {
 
 using namespace std::chrono_literals;
+
+/// Sends one GET (optionally keep-alive) and parses the response off the
+/// open stream. Returns the response; `closed` reports whether the
+/// server closed afterwards.
+[[nodiscard]] http::Response roundtrip(TcpStream& stream,
+                                       const std::string& path,
+                                       bool keep_alive, bool& closed) {
+  http::Request request;
+  request.target = path;
+  request.headers.add("Host", "sweb.test");
+  if (keep_alive) request.headers.add("Connection", "Keep-Alive");
+  EXPECT_TRUE(stream.write_all(request.serialize(), 2000ms));
+
+  http::ResponseParser parser;
+  http::ParseResult state = http::ParseResult::kNeedMore;
+  closed = false;
+  while (state == http::ParseResult::kNeedMore) {
+    const auto chunk = stream.read_some(16 * 1024, 2000ms);
+    EXPECT_TRUE(chunk.ok);
+    if (!chunk.ok) break;
+    if (chunk.eof) {
+      state = parser.finish_eof();
+      closed = true;
+      break;
+    }
+    std::size_t consumed = 0;
+    state = parser.feed(chunk.data, consumed);
+  }
+  EXPECT_EQ(state, http::ParseResult::kComplete);
+  return parser.message();
+}
 
 class KeepAliveTest : public ::testing::Test {
  protected:
@@ -28,37 +66,6 @@ class KeepAliveTest : public ::testing::Test {
         SocketAddress::loopback(cluster.port(0)), 2000ms);
     EXPECT_TRUE(stream.has_value());
     return std::move(*stream);
-  }
-
-  /// Sends one GET (optionally keep-alive) and parses the response off the
-  /// open stream. Returns the response; `eof` reports whether the server
-  /// closed afterwards.
-  [[nodiscard]] http::Response roundtrip(TcpStream& stream,
-                                         const std::string& path,
-                                         bool keep_alive, bool& closed) {
-    http::Request request;
-    request.target = path;
-    request.headers.add("Host", "sweb.test");
-    if (keep_alive) request.headers.add("Connection", "Keep-Alive");
-    EXPECT_TRUE(stream.write_all(request.serialize(), 2000ms));
-
-    http::ResponseParser parser;
-    http::ParseResult state = http::ParseResult::kNeedMore;
-    closed = false;
-    while (state == http::ParseResult::kNeedMore) {
-      const auto chunk = stream.read_some(16 * 1024, 2000ms);
-      EXPECT_TRUE(chunk.ok);
-      if (!chunk.ok) break;
-      if (chunk.eof) {
-        state = parser.finish_eof();
-        closed = true;
-        break;
-      }
-      std::size_t consumed = 0;
-      state = parser.feed(chunk.data, consumed);
-    }
-    EXPECT_EQ(state, http::ParseResult::kComplete);
-    return parser.message();
   }
 
   MiniCluster cluster;
@@ -202,6 +209,79 @@ TEST(KeepAlive, HeadAnswersCarryNoBodyBytesOnTheWire) {
   EXPECT_EQ(http::code(exchange(http::Method::kGet, "/docs/file0.html")
                            .status),
             200);
+}
+
+
+TEST(KeepAlive, ThousandIdleConnectionsDoNotBlockLoad) {
+  // The reactor parks an idle keep-alive connection as an epoll
+  // registration and a timer-heap entry, not a thread. So one node holds a
+  // herd of established connections, each of which has served a request,
+  // and a burst of keep-alive sessions still runs through it with no
+  // failure and no shed.
+  constexpr int kHerd = 1024;
+  constexpr int kSessions = 8;
+  constexpr int kPerSession = 50;
+  constexpr int kDocs = 16;
+  // Both ends of every socket live in this process.
+  constexpr rlim_t kFdsNeeded = 2 * kHerd + 256;
+  rlimit limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &limit), 0);
+  if (limit.rlim_cur < kFdsNeeded) {
+    limit.rlim_cur = std::min(kFdsNeeded, limit.rlim_max);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &limit), 0);
+  }
+  ASSERT_GE(limit.rlim_cur, kFdsNeeded)
+      << "the hard RLIMIT_NOFILE (" << limit.rlim_max << ") is below the "
+      << kFdsNeeded << " descriptors this test needs; raise it (ulimit -Hn)";
+
+  MiniClusterOptions options;
+  options.max_connections = 2 * kHerd + 64;
+  // The idle deadline follows header_timeout: the herd must outlive the
+  // test.
+  options.header_timeout = 60000ms;
+  MiniCluster cluster(1, fs::make_uniform(kDocs, 8192, 1,
+                                          fs::Placement::kRoundRobin,
+                                          nullptr, "/docs"),
+                      options);
+  cluster.start();
+  const auto path = [](int ordinal) {
+    return "/docs/file" + std::to_string(ordinal % kDocs) + ".html";
+  };
+
+  std::vector<TcpStream> herd;
+  herd.reserve(kHerd);
+  for (int i = 0; i < kHerd; ++i) {
+    auto stream = TcpStream::connect(
+        SocketAddress::loopback(cluster.port(0)), 2000ms);
+    ASSERT_TRUE(stream.has_value()) << "herd connection " << i;
+    bool closed = false;
+    const auto response = roundtrip(*stream, path(i), true, closed);
+    ASSERT_EQ(http::code(response.status), 200) << "herd connection " << i;
+    ASSERT_FALSE(closed) << "herd connection " << i;
+    herd.push_back(std::move(*stream));
+  }
+  EXPECT_GE(cluster.node(0).active_connections(), kHerd);
+
+  std::atomic<int> failed{0};
+  std::vector<std::thread> sessions;
+  for (int s = 0; s < kSessions; ++s) {
+    sessions.emplace_back([&cluster, &failed, &path, s] {
+      FetchOptions fetch_options;
+      fetch_options.keep_alive = true;
+      FetchSession session(fetch_options);
+      for (int i = 0; i < kPerSession; ++i) {
+        const auto result = session.fetch(
+            "http://127.0.0.1:" + std::to_string(cluster.port(0)) +
+            path(s * 7 + i));
+        if (!result || http::code(result->response.status) != 200) ++failed;
+      }
+    });
+  }
+  for (auto& t : sessions) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(cluster.node(0).shed_count(), 0u);
+  // The herd is still held: no idle connection was dropped to make room.
+  EXPECT_GE(cluster.node(0).active_connections(), kHerd);
 }
 
 }  // namespace
