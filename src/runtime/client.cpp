@@ -164,14 +164,15 @@ FetchSession::Attempt FetchSession::attempt_once(const std::string& url) {
     ExchangeError error = ExchangeError::kNone;
     auto response = exchange(*parsed, error);
     if (!response) {
-      if (hop > 0) {
-        // A Location hop led to a dead target (the node crashed between
-        // issuing the 302 and our connect): the origin-fallback case.
-        out.status = Attempt::Status::kDeadHop;
+      if (error == ExchangeError::kConnect) {
+        // A Location hop whose connect failed led to a dead target (the
+        // node crashed between the 302 and our connect): the
+        // origin-fallback case. Any other hop failure may have reached
+        // the target's handler, so it is a transport failure.
+        out.status = hop > 0 ? Attempt::Status::kDeadHop
+                             : Attempt::Status::kNoConnect;
       } else {
-        out.status = error == ExchangeError::kConnect
-                         ? Attempt::Status::kNoConnect
-                         : Attempt::Status::kTransport;
+        out.status = Attempt::Status::kTransport;
       }
       return out;
     }
@@ -198,7 +199,8 @@ FetchSession::Attempt FetchSession::attempt_once(const std::string& url) {
 std::optional<FetchResult> FetchSession::fetch(const std::string& url) {
   const RetryPolicy& policy = options_.retry;
   // Only idempotent requests are resent; the dead-hop origin fallback is
-  // exempt because the dead target provably never saw the request.
+  // exempt because the dead target's connect failed, so it provably never
+  // saw the request.
   const bool idempotent = options_.post_body.empty();
   const int max_attempts = std::max(1, policy.max_attempts);
   const Deadline budget = deadline_after(policy.total_deadline);
@@ -220,10 +222,8 @@ std::optional<FetchResult> FetchSession::fetch(const std::string& url) {
         }
         // Shed. Retry after at least the server's Retry-After hint; on
         // give-up the 503 is the answer, not a nullopt.
-        if (policy.honor_retry_after) {
-          if (const auto hint = retry_after_of(attempt.result.response)) {
-            floor = *hint;
-          }
+        if (const auto hint = retry_after_of(attempt.result.response)) {
+          floor = *hint;
         }
         shed_in_hand = std::move(attempt.result);
         retryable = idempotent;

@@ -20,10 +20,12 @@ namespace sweb::runtime {
 /// is no other retry path in the client.
 ///
 /// Only idempotent requests (GET/HEAD) are retried; a POST is never resent,
-/// with one exception: the dead-redirect origin fallback, where the dead
-/// target provably never received the request (its connect failed), so
-/// re-asking the origin — with `sweb-hop=1` set to force local service — is
-/// safe for any method.
+/// with one exception: the dead-redirect origin fallback, where the connect
+/// to the redirect target failed, so the target provably never received
+/// the request and re-asking the origin — with `sweb-hop=1` set to force
+/// local service — is safe for any method. A hop whose exchange died after
+/// the connect (a reset mid-response) may have run the request, so it is a
+/// plain transport failure.
 struct RetryPolicy {
   /// Total tries, the first included. 1 disables retries (and with them
   /// the dead-redirect origin fallback).
@@ -36,10 +38,8 @@ struct RetryPolicy {
   /// Whole-fetch budget across every attempt and backoff sleep; a retry
   /// whose backoff would overrun it is abandoned instead of slept.
   std::chrono::milliseconds total_deadline{10000};
-  /// Sleep at least a 503's Retry-After (delta-seconds, fractions allowed)
-  /// before re-asking the server that shed us.
-  bool honor_retry_after = true;
-  /// Jitter on top of an honored Retry-After: the actual sleep is
+  /// A 503's Retry-After (delta-seconds, fractions allowed) is always
+  /// honored, with jitter on top of it: the actual sleep is
   /// uniform over [hint, hint * (1 + retry_after_spread)]. Every client a
   /// shedding server turned away got the *same* hint, so sleeping exactly
   /// the hint would march the whole herd back in one synchronized wave
@@ -55,9 +55,9 @@ struct FetchResult {
   http::Response response;
   int redirects_followed = 0;
   std::string final_url;
-  /// True when a redirect target was dead (connection refused / no valid
-  /// response) and the response came from retrying the origin with the
-  /// at-most-once marker set, forcing it to serve locally.
+  /// True when a redirect target was dead (its connect failed) and the
+  /// response came from retrying the origin with the at-most-once marker
+  /// set, forcing it to serve locally.
   bool origin_fallback = false;
   /// Attempts the retry policy spent, the successful one included (1 =
   /// first try succeeded).
@@ -94,11 +94,12 @@ class FetchSession {
   explicit FetchSession(FetchOptions options = {});
 
   /// Fetches `url` (absolute http:// form), following up to
-  /// options.max_redirects Location hops, under options.retry: transport
-  /// failures, dead redirect targets (retried against the origin with
-  /// `sweb-hop=1` appended so it serves locally), and 503 sheds are
-  /// retried with backoff until the policy's attempt count or deadline
-  /// budget runs out. std::nullopt on non-recoverable failures (malformed
+  /// options.max_redirects Location hops, under options.retry: dead
+  /// redirect targets (refused connects, retried at once against the
+  /// origin with `sweb-hop=1` appended so it serves locally), and — for
+  /// idempotent requests only — transport failures and 503 sheds, retried
+  /// with backoff until the policy's attempt count or deadline budget runs
+  /// out. std::nullopt on non-recoverable failures (malformed
   /// response, 3xx without Location, redirect loop overflow) and on retry
   /// exhaustion without a response in hand; exhaustion holding a 503
   /// returns that 503 so the caller sees what the server last said.
@@ -123,7 +124,7 @@ class FetchSession {
       kOk,         // result holds a response (any status code)
       kNoConnect,  // origin unreachable, request never sent
       kTransport,  // origin reached but the exchange died mid-flight
-      kDeadHop,    // a redirect target was dead; origin fallback applies
+      kDeadHop,    // a redirect target refused the connect; origin fallback
       kFatal,      // malformed URL/redirect, hop overflow: never retry
     };
     Status status = Status::kFatal;

@@ -5,9 +5,7 @@
 namespace sweb::runtime {
 
 double LoadBoard::now_seconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
+  return std::chrono::duration<double>(clock_.now() - epoch_).count();
 }
 
 void LoadBoard::set_liveness(LivenessParams params) {

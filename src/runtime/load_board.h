@@ -24,13 +24,13 @@
 // never started or whose start() threw.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <vector>
 
 #include "obs/registry.h"
+#include "runtime/clock.h"
 
 namespace sweb::runtime {
 
@@ -74,10 +74,12 @@ struct NodeLoad {
 
 class LoadBoard {
  public:
-  explicit LoadBoard(int num_nodes)
+  /// `clock` (the real one by default) must outlive the board.
+  explicit LoadBoard(int num_nodes, const Clock& clock = Clock::real())
       : loads_(static_cast<std::size_t>(num_nodes)),
         inflation_expiry_(static_cast<std::size_t>(num_nodes)),
-        epoch_(std::chrono::steady_clock::now()) {}
+        clock_(clock),
+        epoch_(clock.now()) {}
 
   /// Sets the failure-detector knobs; call before the cluster starts.
   void set_liveness(LivenessParams params);
@@ -106,7 +108,7 @@ class LoadBoard {
   void heartbeat(int node);
   /// The failure detector: marks every node whose heartbeat stamp has aged
   /// past the staleness timeout unavailable, and expires stale Δ-inflation.
-  /// Idempotent; any node's heartbeat loop may run it. Returns how many
+  /// Idempotent; every node's loadd tick runs it. Returns how many
   /// nodes were newly marked down.
   int sweep_stale();
 
@@ -116,7 +118,7 @@ class LoadBoard {
     return static_cast<int>(loads_.size());
   }
 
-  /// Seconds since the board was created — the clock last_update_s uses.
+  /// Board-clock seconds since the board was created (last_update_s's).
   [[nodiscard]] double now_seconds() const;
 
   /// Double-closes caught (and clamped) by connection_closed — also
@@ -163,7 +165,8 @@ class LoadBoard {
   std::uint64_t marked_down_ = 0;
   std::uint64_t rejoined_ = 0;
   std::uint64_t inflation_expired_ = 0;
-  std::chrono::steady_clock::time_point epoch_;
+  const Clock& clock_;
+  Clock::TimePoint epoch_;
   obs::Gauge* active_gauge_ = nullptr;
   obs::Gauge* inflation_gauge_ = nullptr;
   std::vector<obs::Gauge*> available_gauges_;

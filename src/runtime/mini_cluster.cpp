@@ -18,11 +18,7 @@ MiniCluster::MiniCluster(int num_nodes, const fs::Docbase& docbase,
   liveness.staleness_timeout_s =
       std::chrono::duration<double>(options.staleness_timeout).count();
   liveness.inflation_expiry_s =
-      options.inflation_expiry.count() > 0
-          ? std::chrono::duration<double>(options.inflation_expiry).count()
-          : 2.0 *
-                std::chrono::duration<double>(options.heartbeat_period)
-                    .count();
+      2.0 * std::chrono::duration<double>(options.heartbeat_period).count();
   board_.set_liveness(liveness);
   if (!options.slow_log_path.empty()) {
     (void)slow_log_.open(options.slow_log_path);

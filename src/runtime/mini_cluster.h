@@ -33,15 +33,12 @@ struct MiniClusterOptions {
   /// Per-request I/O deadline (NodeServer::Config::io_timeout).
   std::chrono::milliseconds io_timeout{2000};
   /// Liveness lease period per node (NodeServer::Config::heartbeat_period):
-  /// the paper's 2-3 s loadd tick, sub-second in tests.
+  /// the paper's 2-3 s loadd tick, sub-second in tests. A unit of redirect
+  /// Δ-inflation whose 302 nobody followed expires after two periods.
   std::chrono::milliseconds heartbeat_period{2000};
   /// A peer whose heartbeat stamp ages past this is marked unavailable by
   /// the failure detector (and re-admitted when stamps resume).
   std::chrono::milliseconds staleness_timeout{6000};
-  /// Expiry for one unit of redirect Δ-inflation — a 302 whose client
-  /// never follows it stops counting as phantom load after this long.
-  /// Zero (the default) derives 2x heartbeat_period.
-  std::chrono::milliseconds inflation_expiry{0};
   /// Slowloris defense per node: complete-request deadline before a 408
   /// (NodeServer::Config::header_timeout). Zero falls back to io_timeout.
   std::chrono::milliseconds header_timeout{0};

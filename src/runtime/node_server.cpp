@@ -17,9 +17,12 @@ using namespace std::chrono_literals;
 namespace {
 
 // Epoll tags 0 and 1 are the listener and the wakeup eventfd; connection
-// ids start at 2 (NodeServer::next_conn_id_).
+// ids start at 2 (NodeServer::next_conn_id_), so timer id 0 is free for the
+// heartbeat.
 constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kWakeTag = 1;
+constexpr std::uint64_t kHeartbeatTimer = 0;
+constexpr const char* kServerName = "SWEB/1.0";
 constexpr std::size_t kReadChunk = 16 * 1024;
 // Upper bound on one epoll_wait so the loop re-checks its stop token even
 // with no timers armed.
@@ -71,22 +74,6 @@ NodeServer::NodeServer(Config config, const DocStore& docs, LoadBoard& board)
 
 NodeServer::~NodeServer() { stop(); }
 
-void NodeServer::start_heartbeat() {
-  // First stamp before the thread exists: the node is in the pool the
-  // moment this returns, so a caller's immediate fetch cannot race the
-  // first tick and find the node still unavailable.
-  board_.heartbeat(config_.node_id);
-  heartbeat_thread_ = std::jthread(
-      [this](const std::stop_token& token) { heartbeat_loop(token); });
-}
-
-void NodeServer::stop_heartbeat() {
-  if (heartbeat_thread_.joinable()) {
-    heartbeat_thread_.request_stop();
-    heartbeat_thread_.join();
-  }
-}
-
 void NodeServer::stop_serving() {
   // The reactor thread first (the wake makes its epoll_wait return
   // promptly), then the CGI pool — a running handler finishes, its result
@@ -111,13 +98,14 @@ void NodeServer::start() {
   pool_->start();
   thread_ = std::jthread(
       [this](const std::stop_token& token) { reactor_loop(token); });
-  start_heartbeat();
+  // First stamp from the caller's thread: the node is in the pool the
+  // moment this returns, so a caller's immediate fetch cannot race the
+  // loop's first tick and find the node still unavailable.
+  board_.heartbeat(config_.node_id);
 }
 
 void NodeServer::stop() {
-  const bool was_active =
-      thread_.joinable() || heartbeat_thread_.joinable();
-  stop_heartbeat();
+  const bool was_active = thread_.joinable();
   stop_serving();
   // Graceful leave: the node announces its departure instead of letting
   // the failure detector discover it (and unlike a sweep, this does not
@@ -135,17 +123,13 @@ void NodeServer::crash() {
   // Order matters: join the reactor thread before closing its listener fd
   // so the loop is never polling a dead descriptor. The board is
   // deliberately NOT told — discovering the silence is the failure
-  // detector's job.
-  stop_heartbeat();
+  // detector's job. Joining the loop silences the heartbeat too.
   stop_serving();
   listener_.close();
   crashed_ = true;
 }
 
-void NodeServer::hang() {
-  stop_heartbeat();
-  hung_ = true;
-}
+void NodeServer::hang() { hung_ = true; }
 
 void NodeServer::recover() {
   if (crashed_) {
@@ -155,25 +139,9 @@ void NodeServer::recover() {
     thread_ = std::jthread(
         [this](const std::stop_token& token) { reactor_loop(token); });
   }
-  if (!heartbeat_thread_.joinable()) start_heartbeat();
   crashed_ = false;
   hung_ = false;
-}
-
-void NodeServer::heartbeat_loop(const std::stop_token& token) {
-  util::set_thread_log_context("node " + std::to_string(config_.node_id) +
-                               "/hb");
-  std::unique_lock<std::mutex> lock(hb_mutex_);
-  while (!token.stop_requested()) {
-    // Nothing ever signals hb_cv_; the wait is purely a stop-interruptible
-    // sleep for one heartbeat period.
-    hb_cv_.wait_for(lock, token, config_.heartbeat_period,
-                    [] { return false; });
-    if (token.stop_requested()) break;
-    board_.heartbeat(config_.node_id);
-    board_.sweep_stale();
-  }
-  util::set_thread_log_context({});
+  board_.heartbeat(config_.node_id);
 }
 
 std::chrono::milliseconds NodeServer::read_budget() const noexcept {
@@ -185,11 +153,16 @@ std::chrono::milliseconds NodeServer::read_budget() const noexcept {
 
 void NodeServer::reactor_loop(const std::stop_token& token) {
   // Availability is not set here: joining the pool is the heartbeat's job
-  // (start_heartbeat stamps it), and leaving is either stop()'s explicit
-  // announcement or — after a crash — the failure detector's discovery.
+  // (start()/recover() stamp the first lease, this loop's timer the rest),
+  // and leaving is either stop()'s explicit announcement or — after a
+  // crash — the failure detector's discovery.
   util::set_thread_log_context("node " + std::to_string(config_.node_id));
   epoller_ = std::make_unique<Epoller>();
   timers_ = TimerHeap{};
+  // A zero period must not re-arm the tick at `now` forever.
+  const auto heartbeat_period = std::max(config_.heartbeat_period, 1ms);
+  timers_.arm(kHeartbeatTimer, 0,
+              std::chrono::steady_clock::now() + heartbeat_period);
   listener_.set_nonblocking(true);
   // The listener and the wakeup stay level-triggered: a backlog left
   // behind by a transient accept error re-fires on the next wait instead
@@ -238,6 +211,17 @@ void NodeServer::reactor_loop(const std::stop_token& token) {
     TimerHeap::Entry due;
     const auto now = std::chrono::steady_clock::now();
     while (timers_.pop_due(now, due)) {
+      if (due.conn_id == kHeartbeatTimer) {
+        // The loadd tick: renew this node's lease and run the failure
+        // detector. The lease thus attests that this loop runs. Fixed
+        // delay: the next tick is one period after this one fired.
+        if (!hung_) {
+          board_.heartbeat(config_.node_id);
+          board_.sweep_stale();
+        }
+        timers_.arm(kHeartbeatTimer, 0, now + heartbeat_period);
+        continue;
+      }
       const auto it = conns_.find(due.conn_id);
       if (it == conns_.end() || it->second->timer_gen != due.generation) {
         continue;  // stale entry: superseded, or the connection is gone
@@ -300,7 +284,7 @@ void NodeServer::shed(TcpStream stream) {
   board_.note_shed(config_.node_id);
   http::Response busy = http::make_error(http::Status::kServiceUnavailable,
                                          "connection limit reached");
-  busy.headers.add("Server", config_.server_name);
+  busy.headers.add("Server", kServerName);
   busy.headers.set("Connection", "close");
   busy.headers.set("Retry-After", std::to_string(handler_.retry_after_s()));
   // One non-blocking send from the loop: a fresh connection's send buffer
@@ -475,7 +459,7 @@ bool NodeServer::read_timed_out(Conn& c) {
 }
 
 bool NodeServer::write_error(Conn& c, http::Response response) {
-  response.headers.add("Server", config_.server_name);
+  response.headers.add("Server", kServerName);
   response.headers.set("Connection", "close");
   c.keep_alive = false;
   c.status = static_cast<int>(response.status);
@@ -631,7 +615,7 @@ bool NodeServer::finish_parse(Conn& c, http::ParseResult state) {
   // rejected one must get them served — that is the whole brownout
   // bargain. The slot itself is reclaimed by the accept-path shed once the
   // node escalates to kShedding.
-  out.response.headers.add("Server", config_.server_name);
+  out.response.headers.add("Server", kServerName);
   out.response.headers.set("Connection",
                            c.keep_alive ? "Keep-Alive" : "close");
   c.status = static_cast<int>(out.response.status);
@@ -648,7 +632,7 @@ void NodeServer::finish_cgi(CgiPool::Result result) {
   handler_.complete_cgi(ok, c.trace_id, c.board_charge, c.service_start_s,
                         c.clock);
   c.charge_open = false;
-  ok.headers.add("Server", config_.server_name);
+  ok.headers.add("Server", kServerName);
   ok.headers.set("Connection", c.keep_alive ? "Keep-Alive" : "close");
   c.status = static_cast<int>(ok.status);
   if (start_write(c, std::move(ok), nullptr)) arm_conn_timer(c);
@@ -848,7 +832,7 @@ http::Response NodeServer::status_response() const {
   obs::JsonWriter w;
   w.begin_object();
   w.key("node").value(config_.node_id);
-  w.key("server").value(config_.server_name);
+  w.key("server").value(kServerName);
   w.key("uptime_seconds").value(uptime);
   w.key("requests_handled").value(requests_handled());
   w.key("inflight").value(inflight_->value());

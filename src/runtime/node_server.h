@@ -14,11 +14,11 @@
 // Config::max_connections (default 48), not by a thread count. Connections
 // past the cap are shed with 503 Service Unavailable, which is what makes
 // the broker's effective_connections() signal meaningful. Deadlines (the
-// slowloris 408 header budget, silent idle keep-alive close, write stalls)
-// and the retry times of reads/sends a degraded link holds (chaos.h) live
-// in a min-heap timer wheel with lazy invalidation. CGI handlers — the
-// only CPU-bound stage — run on a small worker pool (Config::max_workers)
-// and hand their responses back to the loop through an eventfd wakeup.
+// slowloris 408 header budget, silent idle keep-alive close, write stalls),
+// the retry times of reads/sends a degraded link holds (chaos.h) and the
+// loadd heartbeat share one lazily invalidated min-heap of timers. CGI
+// handlers (the only CPU-bound stage) run on Config::max_workers pool
+// threads, the node's only others, and hand results back via an eventfd.
 //
 // Observability: each fact has one store. Counters and gauges live in the
 // registry (the attached one, or one the node owns when none is attached);
@@ -37,10 +37,8 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -69,7 +67,6 @@ class NodeServer {
  public:
   struct Config {
     int node_id = 0;
-    std::string server_name = "SWEB/1.0";
     RuntimeBrokerParams broker;
     std::chrono::milliseconds io_timeout{2000};
     /// HTTP/1.0 keep-alive: requests served on one connection before the
@@ -81,10 +78,10 @@ class NodeServer {
     /// Hard cap on concurrently admitted connections (clamped to >= 1);
     /// arrivals past it are shed with 503.
     int max_connections = 48;
-    /// Liveness lease period: how often this node stamps its own LoadBoard
-    /// entry (the paper's 2-3 s loadd tick; sub-second in tests). Each
-    /// stamp also runs the board's failure detector, so peers whose stamps
-    /// aged past the board's staleness timeout get marked unavailable.
+    /// Liveness lease period: how often the reactor's loadd timer stamps
+    /// this node's LoadBoard entry (the paper's 2-3 s tick; sub-second in
+    /// tests). Each stamp also runs the board's failure detector, so peers
+    /// whose stamps aged past the staleness timeout get marked unavailable.
     std::chrono::milliseconds heartbeat_period{2000};
     /// Slowloris defense: one overall deadline for receiving a complete
     /// request (header + body) before the node answers 408 Request
@@ -148,19 +145,18 @@ class NodeServer {
   void stop();
 
   // --- Fault injection (tests, benches, chaos drills) --------------------
-  /// Abrupt node death: closes the listener (connects are refused), kills
-  /// the reactor/CGI/heartbeat threads — WITHOUT touching the board's
-  /// availability. Peers must discover the death via the failure detector
-  /// (missed heartbeats), exactly as they would a real crash.
+  /// Abrupt node death: closes the listener (connects are refused), joins
+  /// the reactor (its heartbeat timer dies with it) and the CGI pool —
+  /// WITHOUT touching the board's availability. Peers must discover the
+  /// death via the failure detector, exactly as they would a real crash.
   void crash();
   /// Zombie node: stops heartbeating only. The node still accepts and
   /// serves, but its liveness lease lapses and peers mark it unavailable.
   void hang();
-  /// Undoes crash()/hang(): rebinds the same port if the listener was
-  /// closed, restarts the threads, and resumes heartbeats — the board
-  /// re-admits the node on the first stamp (counted as a rejoin).
+  /// Undoes crash()/hang(): rebinds the same port and restarts the threads
+  /// if the node crashed, and stamps the lease before returning — the
+  /// board re-admits the node on that stamp (counted as a rejoin).
   void recover();
-  [[nodiscard]] bool crashed() const noexcept { return crashed_; }
 
   /// Installs (or replaces) the degraded-link fault plan live — every
   /// connection admitted from now on is degraded per `plan`. An inactive
@@ -324,13 +320,6 @@ class NodeServer {
   void evaluate_overload();
   [[nodiscard]] std::chrono::milliseconds read_budget() const noexcept;
 
-  /// Stamps this node's liveness lease every heartbeat_period and runs the
-  /// board's failure detector over the peers.
-  void heartbeat_loop(const std::stop_token& token);
-  /// Stamps the first heartbeat synchronously (so the node is joined the
-  /// moment start()/recover() returns) and launches the heartbeat thread.
-  void start_heartbeat();
-  void stop_heartbeat();
   void stop_serving();  // reactor thread, CGI pool, admitted connections
 
   /// Flushes a finished request's phase vector into the per-phase
@@ -367,7 +356,7 @@ class NodeServer {
   OverloadState published_overload_ = OverloadState::kHealthy;
   ChaosDirector chaos_;
   TcpListener listener_;
-  std::jthread thread_;  // the reactor loop
+  std::jthread thread_;  // the reactor loop, which also runs the heartbeat
   // Reactor state: owned and touched by the loop thread only (stop_serving
   // clears conns_ strictly after joining the thread).
   WakeFd wake_;
@@ -379,13 +368,10 @@ class NodeServer {
   std::atomic<int> active_conns_{0};
   std::atomic<std::uint64_t> local_ids_{1};  // fallback id source, no tracer
   std::chrono::steady_clock::time_point started_at_{};
-  // Liveness: the heartbeat thread sleeps on hb_cv_ so a stop request
-  // interrupts the wait mid-period instead of burning a whole tick.
-  std::jthread heartbeat_thread_;
-  std::mutex hb_mutex_;
-  std::condition_variable_any hb_cv_;
   bool crashed_ = false;
-  bool hung_ = false;
+  // Set by hang() from a test thread; the reactor's heartbeat timer skips
+  // its stamp and sweep while it holds.
+  std::atomic<bool> hung_{false};
 
   // Cached registry instruments (never null: the registry always exists).
   obs::Counter* requests_ = nullptr;

@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "http/parser.h"
 #include "obs/registry.h"
 #include "runtime/client.h"
+#include "runtime/clock.h"
 #include "runtime/load_board.h"
 #include "runtime/mini_cluster.h"
 #include "runtime/socket.h"
@@ -60,6 +63,16 @@ template <typename Predicate>
   return parser.message();
 }
 
+/// Threads in this process: the entries of /proc/self/task.
+[[nodiscard]] int thread_count() {
+  int threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
 /// MiniCluster options with test-speed liveness (50 ms tick, 250 ms lease).
 [[nodiscard]] MiniClusterOptions fast_liveness() {
   MiniClusterOptions options;
@@ -85,7 +98,8 @@ TEST(Liveness, EntriesStartUnavailableUntilFirstHeartbeat) {
 }
 
 TEST(Liveness, SweepMarksStaleNodeDownAndHeartbeatRejoins) {
-  LoadBoard board(2);
+  ManualClock clock;
+  LoadBoard board(2, clock);
   board.set_liveness({.staleness_timeout_s = 0.05, .inflation_expiry_s = 10.0});
   obs::Registry registry;
   board.bind_registry(registry);
@@ -93,8 +107,11 @@ TEST(Liveness, SweepMarksStaleNodeDownAndHeartbeatRejoins) {
   board.heartbeat(1);
   EXPECT_EQ(board.sweep_stale(), 0);  // both leases fresh
 
-  std::this_thread::sleep_for(80ms);
+  clock.advance(49ms);
   board.heartbeat(0);  // node 0 keeps its lease alive; node 1 goes silent
+  EXPECT_EQ(board.sweep_stale(), 0);  // node 1's lease: 49 ms, just fresh
+  EXPECT_TRUE(board.snapshot(1).available);
+  clock.advance(2ms);  // node 1's lease: 51 ms, just stale
   EXPECT_EQ(board.sweep_stale(), 1);
   EXPECT_TRUE(board.snapshot(0).available);
   EXPECT_FALSE(board.snapshot(1).available);
@@ -115,10 +132,13 @@ TEST(Liveness, SweepMarksStaleNodeDownAndHeartbeatRejoins) {
 TEST(Liveness, SweepIgnoresNodesThatNeverJoined) {
   // A never-started peer is "not in the pool yet", not freshly dead: no
   // marked_down churn for it.
-  LoadBoard board(3);
+  ManualClock clock;
+  LoadBoard board(3, clock);
   board.set_liveness({.staleness_timeout_s = 0.01, .inflation_expiry_s = 10.0});
   board.heartbeat(0);
-  std::this_thread::sleep_for(30ms);
+  clock.advance(9ms);
+  EXPECT_EQ(board.sweep_stale(), 0);  // node 0's lease is still fresh
+  clock.advance(2ms);
   EXPECT_EQ(board.sweep_stale(), 1);  // only node 0 had a lease to lose
   EXPECT_EQ(board.marked_down_total(), 1u);
 }
@@ -126,7 +146,8 @@ TEST(Liveness, SweepIgnoresNodesThatNeverJoined) {
 TEST(Liveness, AbandonedRedirectInflationExpires) {
   // A 302 whose client never follows it (or whose target died) must not
   // leave phantom load on the board forever.
-  LoadBoard board(2);
+  ManualClock clock;
+  LoadBoard board(2, clock);
   board.set_liveness({.staleness_timeout_s = 10.0, .inflation_expiry_s = 0.05});
   obs::Registry registry;
   board.bind_registry(registry);
@@ -135,7 +156,11 @@ TEST(Liveness, AbandonedRedirectInflationExpires) {
   EXPECT_EQ(board.snapshot(1).redirect_inflation, 2);
   EXPECT_EQ(registry.gauge("board.redirect_inflation").value(), 2);
 
-  std::this_thread::sleep_for(80ms);
+  clock.advance(49ms);
+  board.sweep_stale();  // just under the expiry: the Δ still counts
+  EXPECT_EQ(board.snapshot(1).redirect_inflation, 2);
+  EXPECT_EQ(board.inflation_expired_total(), 0u);
+  clock.advance(2ms);
   board.sweep_stale();  // any periodic tick expires the stale Δ
   EXPECT_EQ(board.snapshot(1).redirect_inflation, 0);
   EXPECT_EQ(board.snapshot(1).effective_connections(), 0);
@@ -263,6 +288,32 @@ TEST(Liveness, DeadRedirectFallsBackToOriginWithHopMarker) {
   EXPECT_EQ(result->response.body.size(), 4096u);
 }
 
+TEST(Liveness, PostWhoseHopIsResetAfterSendingIsNotResent) {
+  // Node 1 owns the CGI and resets every connection on its first response
+  // write, after the handler ran. The hop target saw the POST, so neither
+  // the origin fallback nor a retry may run it a second time.
+  MiniClusterOptions options;
+  options.chaos_node = 1;
+  options.chaos.reset_probability = 1.0;  // reset_after_bytes 0: first write
+  MiniCluster cluster(2, small_docbase(2), options);
+  std::atomic<int> calls{0};
+  cluster.docs_mutable().register_cgi(
+      "/cgi/count.cgi", /*owner=*/1,
+      [&calls](const http::Request&, std::string_view) {
+        ++calls;
+        return http::make_ok("counted", "text/plain");
+      });
+  cluster.start();
+  const std::string url = "http://127.0.0.1:" +
+                          std::to_string(cluster.port(0)) + "/cgi/count.cgi";
+  FetchOptions fetch_options;
+  fetch_options.post_body = "n=1";
+  const auto result = fetch(url, fetch_options);
+  EXPECT_FALSE(result.has_value());
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(cluster.node(1).chaos().resets_injected(), 1u);
+}
+
 TEST(Liveness, HungNodeIsDetectedButStillServesAndRejoins) {
   // hang() stops the heartbeat only: the liveness lease lapses (peers mark
   // the node down, so no new redirects target it) while the node itself
@@ -300,6 +351,21 @@ TEST(Liveness, StatusEndpointReportsLivenessFields) {
   EXPECT_NE(body.find("\"staleness_timeout_s\":"), std::string::npos) << body;
   EXPECT_NE(body.find("\"heartbeat_age_seconds\":"), std::string::npos)
       << body;
+}
+
+TEST(Liveness, EachNodeRunsOneReactorPlusItsCgiWorkers) {
+  // The heartbeat is a timer on the reactor's heap, not a thread: a node
+  // adds exactly its loop and its CGI pool.
+  constexpr int kNodes = 3;
+  MiniClusterOptions options = fast_liveness();
+  options.max_workers = 2;
+  MiniCluster cluster(kNodes, small_docbase(kNodes), options);
+  // A sanitizer runtime (TSan) starts a helper thread along with the
+  // program's first thread; let that happen before the count.
+  std::thread([] {}).join();
+  const int before = thread_count();
+  cluster.start();
+  EXPECT_EQ(thread_count() - before, kNodes * (1 + options.max_workers));
 }
 
 // --- The chaos drill -------------------------------------------------------
