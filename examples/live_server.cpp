@@ -66,10 +66,6 @@ int main(int argc, char** argv) {
       .option("cache-bytes", "8388608",
               "per-node page-cache byte budget; resident documents are "
               "served zero-copy (writev), 0 disables the cache")
-      .option("cache-discount", "0",
-              "connection units subtracted from a node's apparent load "
-              "when it holds the requested document resident (cache-aware "
-              "redirects; 0 keeps placement purely load-based)")
       // Overload control (see DESIGN "Overload control"): off unless
       // --overload is set, preserving the static-cap behavior.
       .option("overload-brownout-ms", "50",
@@ -143,7 +139,6 @@ int main(int argc, char** argv) {
       std::chrono::milliseconds(cli.get_int("header-timeout"));
   options.cache_bytes_per_node =
       static_cast<std::uint64_t>(cli.get_int("cache-bytes"));
-  options.broker.cache_hit_discount = cli.get_double("cache-discount");
   if (cli.get_flag("overload")) {
     options.overload.enabled = true;
     options.overload.brownout_enter_s =

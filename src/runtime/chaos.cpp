@@ -24,9 +24,13 @@ bool FaultPlan::active() const noexcept {
 }
 
 ConnectionFaults::ConnectionFaults(const FaultPlan& plan, std::uint64_t seed,
-                                   bool doomed,
-                                   ChaosDirector* director) noexcept
-    : plan_(plan), rng_(seed), doomed_(doomed), director_(director) {}
+                                   bool doomed, ChaosDirector* director,
+                                   const Clock& clock) noexcept
+    : plan_(plan),
+      rng_(seed),
+      doomed_(doomed),
+      director_(director),
+      clock_(clock) {}
 
 std::chrono::milliseconds ConnectionFaults::jittered(
     std::chrono::milliseconds base) {
@@ -60,8 +64,8 @@ ConnectionFaults::Gate ConnectionFaults::clamp(OpGate& gate, std::size_t want,
   return verdict;
 }
 
-ConnectionFaults::Gate ConnectionFaults::gate_read(std::size_t want,
-                                                   TimePoint now) {
+ConnectionFaults::Gate ConnectionFaults::gate_read(std::size_t want) {
+  const TimePoint now = clock_.now();
   if (!read_gate_.charged) {
     std::chrono::milliseconds delay = plan_.read_delay;
     if (!stalled_ && plan_.first_read_stall > 0ms) {
@@ -74,8 +78,8 @@ ConnectionFaults::Gate ConnectionFaults::gate_read(std::size_t want,
   return clamp(read_gate_, want, now);
 }
 
-ConnectionFaults::Gate ConnectionFaults::gate_write(std::size_t want,
-                                                    TimePoint now) {
+ConnectionFaults::Gate ConnectionFaults::gate_write(std::size_t want) {
+  const TimePoint now = clock_.now();
   if (!write_gate_.charged) {
     charge(write_gate_,
            response_started_ ? 0ms : jittered(plan_.write_delay), now);
@@ -102,26 +106,25 @@ ConnectionFaults::Gate ConnectionFaults::gate_write(std::size_t want,
   return verdict;
 }
 
-void ConnectionFaults::finish(OpGate& gate, std::size_t bytes,
-                              TimePoint now) noexcept {
+void ConnectionFaults::finish(OpGate& gate, std::size_t bytes) noexcept {
   gate = OpGate{};
   if (plan_.throttle_bytes_per_sec == 0 || bytes == 0) return;
   const auto debt = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double>(
           static_cast<double>(bytes) /
           static_cast<double>(plan_.throttle_bytes_per_sec)));
-  paced_until_ = std::max(paced_until_, now) + debt;
+  paced_until_ = std::max(paced_until_, clock_.now()) + debt;
 }
 
-void ConnectionFaults::note_read(std::size_t bytes, TimePoint now) noexcept {
+void ConnectionFaults::note_read(std::size_t bytes) noexcept {
   if (bytes > 0) response_started_ = false;  // a new request: a new turn
-  finish(read_gate_, bytes, now);
+  finish(read_gate_, bytes);
 }
 
-void ConnectionFaults::note_write(std::size_t bytes, TimePoint now) noexcept {
+void ConnectionFaults::note_write(std::size_t bytes) noexcept {
   if (bytes > 0) response_started_ = true;
   bytes_written_ += bytes;
-  finish(write_gate_, bytes, now);
+  finish(write_gate_, bytes);
 }
 
 void ChaosDirector::configure(FaultPlan plan, std::uint64_t seed) {
@@ -150,7 +153,8 @@ std::shared_ptr<ConnectionFaults> ChaosDirector::admit() {
   }
   const std::uint64_t seed = rng_();
   faulted_.fetch_add(1, std::memory_order_relaxed);
-  return std::make_shared<ConnectionFaults>(plan_, seed, doomed, this);
+  return std::make_shared<ConnectionFaults>(plan_, seed, doomed, this,
+                                            clock_);
 }
 
 }  // namespace sweb::runtime

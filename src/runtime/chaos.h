@@ -24,6 +24,8 @@
 #include <optional>
 #include <random>
 
+#include "runtime/clock.h"
+
 namespace sweb::runtime {
 
 /// What to do to a connection. All faults default off; a default-constructed
@@ -67,7 +69,7 @@ class ChaosDirector;
 /// TcpStream it degrades and consulted only by that stream's non-blocking
 /// read_nb/write_some_v_nb, from its single I/O thread — so no internal
 /// locking. Nothing here sleeps: a held operation comes back as the time
-/// to retry it, and every call takes `now` from the caller.
+/// to retry it, on the clock the faults were given (the node's).
 ///
 /// Contract: ask the gate before each intended op. While it answers
 /// `retry_at`, do no I/O; asking again before then answers the same time
@@ -76,10 +78,12 @@ class ChaosDirector;
 /// bytes moved, 0 for EAGAIN — which re-arms the gate for the next op.
 class ConnectionFaults {
  public:
-  using TimePoint = std::chrono::steady_clock::time_point;
+  using TimePoint = Clock::TimePoint;
 
+  /// `clock` must outlive the faults.
   ConnectionFaults(const FaultPlan& plan, std::uint64_t seed, bool doomed,
-                   ChaosDirector* director) noexcept;
+                   ChaosDirector* director,
+                   const Clock& clock = Clock::real()) noexcept;
 
   /// The verdict on one intended op.
   struct Gate {
@@ -95,15 +99,15 @@ class ConnectionFaults {
 
   /// Per-read latency plus the one-time first-read stall and any pacing
   /// debt, then the throttle clamp on `want`.
-  [[nodiscard]] Gate gate_read(std::size_t want, TimePoint now);
+  [[nodiscard]] Gate gate_read(std::size_t want);
   /// The per-write delay (charged on the first send after a read, i.e.
   /// once per response) plus pacing debt, the doomed reset, then the
   /// throttle / torn-write / reset-point clamp on `want`.
-  [[nodiscard]] Gate gate_write(std::size_t want, TimePoint now);
+  [[nodiscard]] Gate gate_write(std::size_t want);
   /// Completed-op bookkeeping: accrues pacing debt; note_write also
   /// advances the reset byte count.
-  void note_read(std::size_t bytes, TimePoint now) noexcept;
-  void note_write(std::size_t bytes, TimePoint now) noexcept;
+  void note_read(std::size_t bytes) noexcept;
+  void note_write(std::size_t bytes) noexcept;
 
  private:
   /// Gate state of one direction, charged once per op.
@@ -125,7 +129,7 @@ class ConnectionFaults {
   [[nodiscard]] Gate clamp(OpGate& gate, std::size_t want,
                            TimePoint now) noexcept;
   /// Re-arms the gate and accrues the op's bytes as pacing debt.
-  void finish(OpGate& gate, std::size_t bytes, TimePoint now) noexcept;
+  void finish(OpGate& gate, std::size_t bytes) noexcept;
 
   FaultPlan plan_;
   std::mt19937_64 rng_;
@@ -137,17 +141,20 @@ class ConnectionFaults {
   OpGate read_gate_;
   OpGate write_gate_;
   ChaosDirector* director_;
+  const Clock& clock_;
 };
 
-/// Hands a ConnectionFaults to every connection a node admits.
-/// Thread-safe: the reactor admits while tests reconfigure. Must
-/// outlive every ConnectionFaults it issued (NodeServer owns one and joins
-/// its workers before destruction).
+/// Hands a ConnectionFaults to every connection a node admits, each pacing
+/// on the director's clock. Thread-safe: the reactor admits while tests
+/// reconfigure. Must outlive every ConnectionFaults it issued (NodeServer
+/// owns one and joins its workers before destruction).
 class ChaosDirector {
  public:
   static constexpr std::uint64_t kDefaultSeed = 0x5eb0c4a05ULL;
 
-  ChaosDirector() = default;
+  /// `clock` must outlive the director.
+  explicit ChaosDirector(const Clock& clock = Clock::real())
+      : clock_(clock) {}
   ChaosDirector(const ChaosDirector&) = delete;
   ChaosDirector& operator=(const ChaosDirector&) = delete;
 
@@ -179,6 +186,7 @@ class ChaosDirector {
   std::uint64_t admitted_ = 0;  // connections seen since configure()
   std::atomic<std::uint64_t> faulted_{0};
   std::atomic<std::uint64_t> resets_{0};
+  const Clock& clock_;
 };
 
 }  // namespace sweb::runtime

@@ -1,8 +1,14 @@
 // The runtime's injectable time source. The base class is the real steady
-// clock; a ManualClock moves only when a test advances it, so a lease or
-// an expiry can be aged past its threshold without sleeping.
+// clock; a ManualClock moves only when a test advances it, so a lease, a
+// deadline or a link fault can be aged past its threshold without sleeping.
+//
+// The split: the Clock says when things are due (deadlines, timers, the
+// liveness lease, link-fault pacing — all read the board's clock), while
+// steady_clock measures how long work took (phase laps, uptime, blocking
+// I/O budgets) and is never replaced.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 
 namespace sweb::runtime {
@@ -22,14 +28,20 @@ class Clock {
   }
 };
 
-/// Starts at the epoch and moves only on advance(); single-threaded use.
+/// Starts at the epoch and moves only on advance(). Safe to read from any
+/// thread (CGI pool threads read board time); advance from one.
 class ManualClock final : public Clock {
  public:
-  [[nodiscard]] TimePoint now() const override { return now_; }
-  void advance(std::chrono::nanoseconds by) { now_ += by; }
+  [[nodiscard]] TimePoint now() const override {
+    return TimePoint(TimePoint::duration(ticks_.load()));
+  }
+  void advance(std::chrono::nanoseconds by) {
+    ticks_.fetch_add(
+        std::chrono::duration_cast<TimePoint::duration>(by).count());
+  }
 
  private:
-  TimePoint now_{};
+  std::atomic<TimePoint::duration::rep> ticks_{0};
 };
 
 }  // namespace sweb::runtime

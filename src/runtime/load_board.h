@@ -120,6 +120,8 @@ class LoadBoard {
 
   /// Board-clock seconds since the board was created (last_update_s's).
   [[nodiscard]] double now_seconds() const;
+  /// The clock every node on this board schedules by.
+  [[nodiscard]] const Clock& clock() const noexcept { return clock_; }
 
   /// Double-closes caught (and clamped) by connection_closed — also
   /// published as the `loadboard.underflow` counter when a registry is

@@ -5,9 +5,9 @@
 namespace sweb::runtime {
 
 MiniCluster::MiniCluster(int num_nodes, const fs::Docbase& docbase,
-                         MiniClusterOptions options)
+                         MiniClusterOptions options, const Clock& clock)
     : docs_(docbase),
-      board_(num_nodes),
+      board_(num_nodes, clock),
       caches_(num_nodes, options.cache_bytes_per_node) {
   assert(num_nodes > 0);
   docs_.bind_registry(registry_);
@@ -27,7 +27,7 @@ MiniCluster::MiniCluster(int num_nodes, const fs::Docbase& docbase,
   for (int n = 0; n < num_nodes; ++n) {
     NodeServer::Config cfg;
     cfg.node_id = n;
-    cfg.broker = options.broker;
+    cfg.enable_redirects = options.enable_redirects;
     cfg.max_workers = options.max_workers;
     cfg.max_connections = options.max_connections;
     cfg.io_timeout = options.io_timeout;
@@ -39,7 +39,7 @@ MiniCluster::MiniCluster(int num_nodes, const fs::Docbase& docbase,
       cfg.chaos = options.chaos;
       cfg.chaos_seed = options.chaos_seed;
     }
-    cfg.caches = &caches_;
+    cfg.cache = caches_.enabled() ? &caches_.node(n) : nullptr;
     cfg.registry = &registry_;
     cfg.tracer = &tracer_;
     cfg.audit = &audit_;
@@ -59,6 +59,10 @@ void MiniCluster::start() {
 
 void MiniCluster::stop() {
   for (auto& server : servers_) server->stop();
+}
+
+void MiniCluster::run_once() {
+  for (auto& server : servers_) server->run_once(std::chrono::milliseconds{0});
 }
 
 std::uint16_t MiniCluster::port(int node) const {

@@ -24,7 +24,8 @@ namespace sweb::runtime {
 
 /// Cluster-wide knobs forwarded to every NodeServer.
 struct MiniClusterOptions {
-  RuntimeBrokerParams broker;
+  /// Off: no node ever 302s (NodeServer::Config::enable_redirects).
+  bool enable_redirects = true;
   /// CGI pool size per node (NodeServer::Config::max_workers).
   int max_workers = 16;
   /// Per-node concurrent-connection cap before 503 load shedding
@@ -50,8 +51,7 @@ struct MiniClusterOptions {
   /// (brownout class sheds, shedding at accept, broker route-around).
   OverloadParams overload{};
   /// Degraded-link fault plan for ONE node (`chaos_node`), the "node behind
-  /// a lossy/slow link" drill. Inactive by default. Use
-  /// MiniCluster::set_chaos for per-node or mid-run changes.
+  /// a lossy/slow link" drill. Inactive by default.
   FaultPlan chaos{};
   int chaos_node = -1;
   std::uint64_t chaos_seed = ChaosDirector::kDefaultSeed;
@@ -71,15 +71,20 @@ struct MiniClusterOptions {
 
 class MiniCluster {
  public:
-  /// Builds stores + servers for `num_nodes` nodes serving `docbase`.
+  /// Builds stores + servers for `num_nodes` nodes serving `docbase`,
+  /// scheduling on `clock` (which must outlive the cluster).
   MiniCluster(int num_nodes, const fs::Docbase& docbase,
-              MiniClusterOptions options = {});
+              MiniClusterOptions options = {},
+              const Clock& clock = Clock::real());
   ~MiniCluster();
   MiniCluster(const MiniCluster&) = delete;
   MiniCluster& operator=(const MiniCluster&) = delete;
 
   void start();
   void stop();
+  /// Steps a cluster that was never start()ed: one NodeServer::run_once
+  /// turn per node, in index order, none waiting for events.
+  void run_once();
 
   [[nodiscard]] int num_nodes() const noexcept {
     return static_cast<int>(servers_.size());
@@ -95,11 +100,6 @@ class MiniCluster {
   void crash(int n) { node(n).crash(); }
   void hang(int n) { node(n).hang(); }
   void recover(int n) { node(n).recover(); }
-  /// Degrades (or, with an inactive plan, heals) node `n`'s link live.
-  void set_chaos(int n, const FaultPlan& plan,
-                 std::uint64_t seed = ChaosDirector::kDefaultSeed) {
-    node(n).set_chaos(plan, seed);
-  }
 
   /// Round-robin DNS: the next node's base URL ("http://127.0.0.1:PORT").
   [[nodiscard]] std::string next_base_url();
@@ -111,7 +111,7 @@ class MiniCluster {
   /// the store concurrently once running).
   [[nodiscard]] DocStore& docs_mutable() noexcept { return docs_; }
   /// Every node's residency cache (tests and benches read hit/miss/bytes;
-  /// the brokers read residency through the same directory).
+  /// each node is handed only its own).
   [[nodiscard]] CacheDirectory& caches() noexcept { return caches_; }
   [[nodiscard]] const CacheDirectory& caches() const noexcept {
     return caches_;

@@ -70,11 +70,6 @@ CacheDirectory::CacheDirectory(int num_nodes, std::uint64_t bytes_per_node)
   }
 }
 
-bool CacheDirectory::resident(int node, std::string_view path) const {
-  if (node < 0 || node >= num_nodes() || !enabled()) return false;
-  return caches_[static_cast<std::size_t>(node)]->contains(path);
-}
-
 void CacheDirectory::bind_registry(obs::Registry& registry) {
   for (int n = 0; n < num_nodes(); ++n) {
     caches_[static_cast<std::size_t>(n)]->bind_registry(

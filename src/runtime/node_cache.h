@@ -9,10 +9,9 @@
 // node); the bytes themselves live in the DocStore's shared buffers, which
 // the zero-copy send path writes without ever re-copying.
 //
-// The CacheDirectory holds every node's cache in one place — like the
-// LoadBoard, it is cluster-shared state standing in for what loadd
-// broadcasts would carry — so a broker on any node can ask "is this path
-// resident on that peer?" and price a redirect accordingly.
+// The CacheDirectory owns every node's cache in one place; each node is
+// handed only its own, so a broker never sees a peer's residency — peers
+// are seen only through the LoadBoard, as through loadd's broadcasts.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +36,7 @@ class NodeCache {
 
   /// Hit test with LRU refresh + hit/miss stats — the serve path's probe.
   [[nodiscard]] bool lookup(std::string_view path);
-  /// Side-effect-free residency probe — what the broker peeks at.
+  /// Side-effect-free residency probe (the brownout gate, tests).
   [[nodiscard]] bool contains(std::string_view path) const;
   /// Admits `path` (evicting LRU entries to fit the byte budget).
   void insert(std::string_view path, std::uint64_t bytes);
@@ -62,8 +61,7 @@ class NodeCache {
   obs::Gauge* bytes_gauge_ = nullptr;
 };
 
-/// One NodeCache per node, cluster-shared (like the LoadBoard) so every
-/// node's broker can probe every peer's residency.
+/// One NodeCache per node; the MiniCluster hands node n only node(n).
 class CacheDirectory {
  public:
   CacheDirectory(int num_nodes, std::uint64_t bytes_per_node);
@@ -77,15 +75,9 @@ class CacheDirectory {
   [[nodiscard]] int num_nodes() const noexcept {
     return static_cast<int>(caches_.size());
   }
-  /// False when built with a zero byte budget: the serve path skips the
-  /// cache entirely (pure copy path) and the broker applies no discount.
+  /// False when built with a zero byte budget: nodes get no cache and
+  /// every response takes the copy path.
   [[nodiscard]] bool enabled() const noexcept { return bytes_per_node_ > 0; }
-  [[nodiscard]] std::uint64_t bytes_per_node() const noexcept {
-    return bytes_per_node_;
-  }
-
-  /// Is `path` resident on `node`? (No stats, no recency refresh.)
-  [[nodiscard]] bool resident(int node, std::string_view path) const;
 
   /// Binds every node's cache under `node.<n>.cache.*`.
   void bind_registry(obs::Registry& registry);

@@ -36,13 +36,17 @@ NodeServer::NodeServer(Config config, const DocStore& docs, LoadBoard& board)
                         : nullptr),
       config_(std::move(config)),
       board_(board),
+      clock_(board.clock()),
       overload_(config_.overload),
-      handler_(config_.node_id, config_.broker, config_.retry_after_hint,
-               docs, board, config_.caches, overload_,
+      handler_(config_.node_id, config_.enable_redirects,
+               config_.retry_after_hint, docs, board, config_.cache, overload_,
                own_registry_ != nullptr ? *own_registry_ : *config_.registry,
                config_.audit, config_.tracer),
+      chaos_(clock_),
       listener_(0) {
   if (own_registry_ != nullptr) config_.registry = own_registry_.get();
+  // A zero period must not re-arm the loadd tick at `now` forever.
+  config_.heartbeat_period = std::max(config_.heartbeat_period, 1ms);
   obs::Registry& registry = *config_.registry;
   const std::string prefix = "node." + std::to_string(config_.node_id);
   requests_ = &registry.counter(prefix + ".requests");
@@ -86,27 +90,21 @@ void NodeServer::stop_serving() {
   }
   pool_->stop();
   clear_conns();
+  epoller_.reset();
 }
 
 void NodeServer::start() {
   if (thread_.joinable()) return;
-  started_at_ = std::chrono::steady_clock::now();
-  if (config_.tracer != nullptr) {
-    config_.tracer->set_process_name(
-        config_.node_id, "node " + std::to_string(config_.node_id));
-  }
-  pool_->start();
+  if (epoller_ == nullptr) open_loop();
+  threaded_ = true;
   thread_ = std::jthread(
       [this](const std::stop_token& token) { reactor_loop(token); });
-  // First stamp from the caller's thread: the node is in the pool the
-  // moment this returns, so a caller's immediate fetch cannot race the
-  // loop's first tick and find the node still unavailable.
-  board_.heartbeat(config_.node_id);
 }
 
 void NodeServer::stop() {
-  const bool was_active = thread_.joinable();
+  const bool was_active = epoller_ != nullptr;
   stop_serving();
+  threaded_ = false;
   // Graceful leave: the node announces its departure instead of letting
   // the failure detector discover it (and unlike a sweep, this does not
   // count toward liveness.marked_down). The overload flag is cleared too —
@@ -135,11 +133,9 @@ void NodeServer::recover() {
   if (crashed_) {
     // Same port: every peer captured it in set_peer_ports at cluster build.
     listener_ = TcpListener(listener_.port());
-    pool_->start();
-    thread_ = std::jthread(
-        [this](const std::stop_token& token) { reactor_loop(token); });
+    crashed_ = false;
+    if (threaded_) start();
   }
-  crashed_ = false;
   hung_ = false;
   board_.heartbeat(config_.node_id);
 }
@@ -152,88 +148,101 @@ std::chrono::milliseconds NodeServer::read_budget() const noexcept {
 // --- The reactor loop ------------------------------------------------------
 
 void NodeServer::reactor_loop(const std::stop_token& token) {
-  // Availability is not set here: joining the pool is the heartbeat's job
-  // (start()/recover() stamp the first lease, this loop's timer the rest),
-  // and leaving is either stop()'s explicit announcement or — after a
-  // crash — the failure detector's discovery.
   util::set_thread_log_context("node " + std::to_string(config_.node_id));
+  while (!token.stop_requested()) {
+    run_once(timers_.next_delay(clock_.now(), kLoopTick));
+  }
+  util::set_thread_log_context({});
+}
+
+void NodeServer::open_loop() {
+  // Joining the pool is the heartbeat's job: this first stamp (from the
+  // caller's thread, so a caller's immediate fetch cannot find the node
+  // still unavailable), then the loop's timer. Leaving is either stop()'s
+  // explicit announcement or — after a crash — the failure detector's
+  // discovery.
+  started_at_ = std::chrono::steady_clock::now();
+  if (config_.tracer != nullptr) {
+    config_.tracer->set_process_name(
+        config_.node_id, "node " + std::to_string(config_.node_id));
+  }
+  pool_->start();
   epoller_ = std::make_unique<Epoller>();
+  events_.reserve(64);
   timers_ = TimerHeap{};
-  // A zero period must not re-arm the tick at `now` forever.
-  const auto heartbeat_period = std::max(config_.heartbeat_period, 1ms);
-  timers_.arm(kHeartbeatTimer, 0,
-              std::chrono::steady_clock::now() + heartbeat_period);
+  timers_.arm(kHeartbeatTimer, 0, clock_.now() + config_.heartbeat_period);
   listener_.set_nonblocking(true);
   // The listener and the wakeup stay level-triggered: a backlog left
   // behind by a transient accept error re-fires on the next wait instead
   // of starving until the next fresh connect.
   (void)epoller_->add(listener_.fd(), EPOLLIN, kListenerTag);
   (void)epoller_->add(wake_.fd(), EPOLLIN, kWakeTag);
-  std::vector<Epoller::Event> events;
-  events.reserve(64);
-  while (!token.stop_requested()) {
-    events.clear();
-    epoller_->wait(events, timers_.next_delay(kLoopTick));
-    if (token.stop_requested()) break;
-    for (const Epoller::Event& event : events) {
-      if (event.tag == kListenerTag) {
-        accept_ready();
-        continue;
-      }
-      if (event.tag == kWakeTag) {
-        wake_.drain();
-        for (CgiPool::Result& result : pool_->drain_results()) {
-          finish_cgi(std::move(result));
-        }
-        continue;
-      }
-      const auto it = conns_.find(event.tag);
-      if (it == conns_.end()) continue;  // closed before its event drained
-      Conn& conn = *it->second;
-      attend(conn);
-      if ((event.events & (EPOLLERR | EPOLLHUP)) != 0) {
-        // Force both directions live so the next syscall surfaces the
-        // error instead of the state machine parking forever.
-        conn.can_read = true;
-        conn.can_write = true;
-      }
-      if ((event.events & (EPOLLIN | EPOLLRDHUP)) != 0) conn.can_read = true;
-      if ((event.events & EPOLLOUT) != 0) conn.can_write = true;
-      bool alive = true;
-      if (conn.state == Conn::State::kReading) {
-        alive = drive_read(conn);
-      } else if (conn.state == Conn::State::kWriting) {
-        alive = drive_write(conn);
-      }
-      // kCgiWait waits for its handback.
-      if (alive) arm_conn_timer(conn);
-    }
-    TimerHeap::Entry due;
-    const auto now = std::chrono::steady_clock::now();
-    while (timers_.pop_due(now, due)) {
-      if (due.conn_id == kHeartbeatTimer) {
-        // The loadd tick: renew this node's lease and run the failure
-        // detector. The lease thus attests that this loop runs. Fixed
-        // delay: the next tick is one period after this one fired.
-        if (!hung_) {
-          board_.heartbeat(config_.node_id);
-          board_.sweep_stale();
-        }
-        timers_.arm(kHeartbeatTimer, 0, now + heartbeat_period);
-        continue;
-      }
-      const auto it = conns_.find(due.conn_id);
-      if (it == conns_.end() || it->second->timer_gen != due.generation) {
-        continue;  // stale entry: superseded, or the connection is gone
-      }
-      if (on_timer(*it->second)) arm_conn_timer(*it->second);
-    }
-    // Once per wake (at worst every kLoopTick, even idle): re-evaluate the
-    // overload state machine and publish transitions to the board/gauge.
-    evaluate_overload();
+  board_.heartbeat(config_.node_id);
+}
+
+void NodeServer::run_once(std::chrono::milliseconds max_wait) {
+  if (epoller_ == nullptr) {
+    if (crashed_) return;  // dead until recover()
+    open_loop();
   }
-  epoller_.reset();
-  util::set_thread_log_context({});
+  events_.clear();
+  epoller_->wait(events_, max_wait);
+  for (const Epoller::Event& event : events_) {
+    if (event.tag == kListenerTag) {
+      accept_ready();
+      continue;
+    }
+    if (event.tag == kWakeTag) {
+      wake_.drain();
+      for (CgiPool::Result& result : pool_->drain_results()) {
+        finish_cgi(std::move(result));
+      }
+      continue;
+    }
+    const auto it = conns_.find(event.tag);
+    if (it == conns_.end()) continue;  // closed before its event drained
+    Conn& conn = *it->second;
+    attend(conn);
+    if ((event.events & (EPOLLERR | EPOLLHUP)) != 0) {
+      // Force both directions live so the next syscall surfaces the
+      // error instead of the state machine parking forever.
+      conn.can_read = true;
+      conn.can_write = true;
+    }
+    if ((event.events & (EPOLLIN | EPOLLRDHUP)) != 0) conn.can_read = true;
+    if ((event.events & EPOLLOUT) != 0) conn.can_write = true;
+    bool alive = true;
+    if (conn.state == Conn::State::kReading) {
+      alive = drive_read(conn);
+    } else if (conn.state == Conn::State::kWriting) {
+      alive = drive_write(conn);
+    }
+    // kCgiWait waits for its handback.
+    if (alive) arm_conn_timer(conn);
+  }
+  TimerHeap::Entry due;
+  const auto now = clock_.now();
+  while (timers_.pop_due(now, due)) {
+    if (due.conn_id == kHeartbeatTimer) {
+      // The loadd tick: renew this node's lease and run the failure
+      // detector. The lease thus attests that this loop runs. Fixed
+      // delay: the next tick is one period after this one fired.
+      if (!hung_) {
+        board_.heartbeat(config_.node_id);
+        board_.sweep_stale();
+      }
+      timers_.arm(kHeartbeatTimer, 0, now + config_.heartbeat_period);
+      continue;
+    }
+    const auto it = conns_.find(due.conn_id);
+    if (it == conns_.end() || it->second->timer_gen != due.generation) {
+      continue;  // stale entry: superseded, or the connection is gone
+    }
+    if (on_timer(*it->second)) arm_conn_timer(*it->second);
+  }
+  // Once per wake (at worst every kLoopTick, even idle): re-evaluate the
+  // overload state machine and publish transitions to the board/gauge.
+  evaluate_overload();
 }
 
 void NodeServer::accept_ready() {
@@ -265,7 +274,7 @@ void NodeServer::admit(TcpStream stream) {
   const auto now = std::chrono::steady_clock::now();
   c.accepted_at = now;
   c.phase_mark = now;
-  c.read_deadline = deadline_after(read_budget());
+  c.read_deadline = clock_.now() + read_budget();
   if (!epoller_->add(c.stream.fd(),
                      EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET, c.id)) {
     return;  // registration failed: drop the connection
@@ -328,15 +337,7 @@ void NodeServer::destroy_conn(std::uint64_t id) {
 }
 
 void NodeServer::clear_conns() {
-  for (auto& [id, conn] : conns_) {
-    if (conn->charge_open) {
-      board_.connection_closed(config_.node_id, conn->board_charge);
-      conn->charge_open = false;
-    }
-    if (conn->inflight_marked) inflight_->add(-1);
-  }
-  conns_.clear();
-  active_conns_.store(0, std::memory_order_relaxed);
+  while (!conns_.empty()) destroy_conn(conns_.begin()->first);
 }
 
 void NodeServer::attend(Conn& c) {
@@ -422,7 +423,7 @@ void NodeServer::arm_conn_timer(Conn& c) {
 bool NodeServer::on_timer(Conn& c) {
   attend(c);
   c.timer_armed = false;  // this generation's entry was just consumed
-  const auto now = std::chrono::steady_clock::now();
+  const auto now = clock_.now();
   if (c.retry_at) {
     if (now < *c.retry_at) return true;  // rounding; re-arm
     return c.state == Conn::State::kReading ? drive_read(c) : drive_write(c);
@@ -690,7 +691,7 @@ bool NodeServer::drive_write(Conn& c) {
     if (w.would_block) {
       // The deadline bounds stalls on the peer: it starts at the first.
       if (!c.has_write_deadline) {
-        c.write_deadline = deadline_after(config_.io_timeout);
+        c.write_deadline = clock_.now() + config_.io_timeout;
         c.has_write_deadline = true;
       }
       c.can_write = false;
@@ -747,7 +748,7 @@ void NodeServer::reset_for_next_request(Conn& c) {
   c.has_write_deadline = false;
   c.inflight_marked = false;
   c.queue_wait_s = 0.0;
-  c.read_deadline = deadline_after(read_budget());
+  c.read_deadline = clock_.now() + read_budget();
   c.phase_mark = std::chrono::steady_clock::now();
 }
 
@@ -903,14 +904,13 @@ http::Response NodeServer::status_response() const {
   w.end_object();
   // Runtime page cache: this node's residency budget and hit/miss history
   // — the zero-copy hot path's scoreboard (sweb-top's CACHE column reads
-  // hits/misses; the broker's discount reads residency live).
+  // hits/misses).
   w.key("cache").begin_object();
   // A node without a cache reports an empty zero-budget one (fixed shape).
   static const NodeCache kNoCache(0);
-  const bool cached = config_.caches != nullptr && config_.caches->enabled();
   const NodeCache& cache =
-      cached ? config_.caches->node(config_.node_id) : kNoCache;
-  w.key("enabled").value(cached);
+      config_.cache != nullptr ? *config_.cache : kNoCache;
+  w.key("enabled").value(config_.cache != nullptr);
   w.key("capacity_bytes").value(cache.capacity());
   w.key("used_bytes").value(cache.used());
   w.key("entries").value(cache.entries());

@@ -16,9 +16,11 @@
 // the broker's effective_connections() signal meaningful. Deadlines (the
 // slowloris 408 header budget, silent idle keep-alive close, write stalls),
 // the retry times of reads/sends a degraded link holds (chaos.h) and the
-// loadd heartbeat share one lazily invalidated min-heap of timers. CGI
-// handlers (the only CPU-bound stage) run on Config::max_workers pool
-// threads, the node's only others, and hand results back via an eventfd.
+// loadd heartbeat share one lazily invalidated min-heap of timers, due on
+// the board's Clock. CGI handlers (the only CPU-bound stage) run on
+// Config::max_workers pool threads, the node's only others, and hand
+// results back via an eventfd. The loop body is run_once(): the reactor
+// thread calls it, and a test can call it instead to step the node.
 //
 // Observability: each fact has one store. Counters and gauges live in the
 // registry (the attached one, or one the node owns when none is attached);
@@ -67,7 +69,8 @@ class NodeServer {
  public:
   struct Config {
     int node_id = 0;
-    RuntimeBrokerParams broker;
+    /// Off: the broker never 302s, every request is served here.
+    bool enable_redirects = true;
     std::chrono::milliseconds io_timeout{2000};
     /// HTTP/1.0 keep-alive: requests served on one connection before the
     /// server closes it anyway (a fairness/robustness cap).
@@ -101,10 +104,10 @@ class NodeServer {
     /// admits (chaos drills); an inactive plan (the default) is free.
     FaultPlan chaos{};
     std::uint64_t chaos_seed = ChaosDirector::kDefaultSeed;
-    /// Cluster-shared residency caches (typically the MiniCluster's; may
-    /// be null — every static response then takes the copy path and the
-    /// broker applies no cache discount).
-    CacheDirectory* caches = nullptr;
+    /// This node's residency cache (typically one of the MiniCluster's;
+    /// null when caching is off — every static response then takes the
+    /// copy path).
+    NodeCache* cache = nullptr;
     /// Optional telemetry sinks (typically the MiniCluster's; may be null —
     /// a node without a registry owns one).
     obs::Registry* registry = nullptr;
@@ -125,8 +128,9 @@ class NodeServer {
   };
 
   /// Binds an ephemeral loopback port immediately; serving starts at
-  /// start(). `peer_ports` must be filled (by the MiniCluster) before
-  /// start() so redirects know the other nodes' addresses.
+  /// start() (or the first run_once()). `peer_ports` must be filled (by
+  /// the MiniCluster) before then so redirects know the other nodes'
+  /// addresses. Deadlines, timers and link faults run on board.clock().
   NodeServer(Config config, const DocStore& docs, LoadBoard& board);
   ~NodeServer();
   NodeServer(const NodeServer&) = delete;
@@ -141,8 +145,16 @@ class NodeServer {
     handler_.set_peer_ports(std::move(ports));
   }
 
+  /// Opens the loop (joining the board) and runs it on the reactor thread.
   void start();
+  /// Closes the loop and announces the leave on the board.
   void stop();
+  /// One turn of the loop, the reactor thread's whole body: waits up to
+  /// `max_wait` for socket events, dispatches them, fires the timers due
+  /// at the clock's now, and evaluates overload once. A test steps a node
+  /// that was never start()ed by calling it directly (the first call opens
+  /// the loop); a crashed node's turn does nothing.
+  void run_once(std::chrono::milliseconds max_wait);
 
   // --- Fault injection (tests, benches, chaos drills) --------------------
   /// Abrupt node death: closes the listener (connects are refused), joins
@@ -153,18 +165,12 @@ class NodeServer {
   /// Zombie node: stops heartbeating only. The node still accepts and
   /// serves, but its liveness lease lapses and peers mark it unavailable.
   void hang();
-  /// Undoes crash()/hang(): rebinds the same port and restarts the threads
-  /// if the node crashed, and stamps the lease before returning — the
-  /// board re-admits the node on that stamp (counted as a rejoin).
+  /// Undoes crash()/hang(): rebinds the same port if the node crashed
+  /// (restarting the threads of a start()ed node; a stepped node's next
+  /// run_once reopens its loop), and stamps the lease before returning —
+  /// the board re-admits the node on that stamp (counted as a rejoin).
   void recover();
 
-  /// Installs (or replaces) the degraded-link fault plan live — every
-  /// connection admitted from now on is degraded per `plan`. An inactive
-  /// plan switches injection off.
-  void set_chaos(const FaultPlan& plan,
-                 std::uint64_t seed = ChaosDirector::kDefaultSeed) {
-    chaos_.configure(plan, seed);
-  }
   /// The injector itself (tests read connections_faulted/resets_injected).
   [[nodiscard]] ChaosDirector& chaos() noexcept { return chaos_; }
 
@@ -245,16 +251,16 @@ class NodeServer {
     bool got_bytes = false;
     bool keep_alive = false;
 
-    // Deadlines (enforced through the timer heap).
-    Deadline read_deadline{};
-    Deadline write_deadline{};
+    // Deadlines, on the board's clock (enforced through the timer heap).
+    Clock::TimePoint read_deadline{};
+    Clock::TimePoint write_deadline{};
     bool has_write_deadline = false;  // armed at the first stall on the peer
     // Set while the stream holds the next read/send (a link fault): the
     // timer re-drives the connection then.
-    std::optional<Deadline> retry_at;
+    std::optional<Clock::TimePoint> retry_at;
     std::uint64_t timer_gen = 0;  // lazy invalidation of heap entries
     bool timer_armed = false;
-    std::chrono::steady_clock::time_point timer_when{};
+    Clock::TimePoint timer_when{};
 
     // Phase attribution: every gap between attentions is charged to
     // wait_phase; synchronous work laps directly.
@@ -287,6 +293,9 @@ class NodeServer {
 
   // --- Reactor loop -------------------------------------------------------
   void reactor_loop(const std::stop_token& token);
+  /// Registers the listener and wakeup, arms the loadd tick, starts the
+  /// CGI pool and stamps the first lease.
+  void open_loop();
   void accept_ready();
   void admit(TcpStream stream);
   void shed(TcpStream stream);
@@ -320,7 +329,8 @@ class NodeServer {
   void evaluate_overload();
   [[nodiscard]] std::chrono::milliseconds read_budget() const noexcept;
 
-  void stop_serving();  // reactor thread, CGI pool, admitted connections
+  // Reactor thread, CGI pool, admitted connections; closes the loop.
+  void stop_serving();
 
   /// Flushes a finished request's phase vector into the per-phase
   /// histograms; with tracing on, into one span per entered phase (laid
@@ -348,6 +358,7 @@ class NodeServer {
   std::unique_ptr<obs::Registry> own_registry_;
   Config config_;
   LoadBoard& board_;
+  const Clock& clock_;  // the board's: what is due when
   OverloadController overload_;
   /// The per-request decision (reads overload_, so declared after it).
   RequestHandler handler_;
@@ -357,11 +368,14 @@ class NodeServer {
   ChaosDirector chaos_;
   TcpListener listener_;
   std::jthread thread_;  // the reactor loop, which also runs the heartbeat
+  bool threaded_ = false;  // start()ed, not stepped: recover() respawns
   // Reactor state: owned and touched by the loop thread only (stop_serving
-  // clears conns_ strictly after joining the thread).
+  // clears conns_ strictly after joining the thread). The loop is open
+  // while epoller_ is set.
   WakeFd wake_;
   std::unique_ptr<CgiPool> pool_;
   std::unique_ptr<Epoller> epoller_;
+  std::vector<Epoller::Event> events_;
   TimerHeap timers_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::uint64_t next_conn_id_ = 2;  // 0/1 tag the listener and the wakeup

@@ -86,14 +86,13 @@ class TimerHeap {
     heap_.push(Entry{when, conn_id, generation});
   }
 
-  /// Milliseconds until the earliest armed deadline, clamped to [0, cap];
-  /// `cap` when the heap is empty. The value may be pessimistic (a stale
-  /// entry at the top) — firing early is harmless, the generation check
-  /// discards it.
+  /// Milliseconds from `now` until the earliest armed deadline, clamped to
+  /// [0, cap]; `cap` when the heap is empty. The value may be pessimistic
+  /// (a stale entry at the top) — firing early is harmless, the generation
+  /// check discards it.
   [[nodiscard]] std::chrono::milliseconds next_delay(
-      std::chrono::milliseconds cap) const {
+      TimePoint now, std::chrono::milliseconds cap) const {
     if (heap_.empty()) return cap;
-    const auto now = std::chrono::steady_clock::now();
     if (heap_.top().when <= now) return std::chrono::milliseconds{0};
     const auto delay =
         std::chrono::ceil<std::chrono::milliseconds>(heap_.top().when - now);
@@ -108,8 +107,6 @@ class TimerHeap {
     heap_.pop();
     return true;
   }
-
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
  private:
   struct Later {

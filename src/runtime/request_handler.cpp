@@ -16,8 +16,6 @@ namespace {
 // The broker's fixed coefficients. A peer must be at least this many
 // connections lighter to redirect to.
 constexpr double kMinConnectionAdvantage = 2.0;
-// Redirect to the owner when its load is at most ours plus this.
-constexpr double kLocalityPullThreshold = 0.0;
 // Bytes in flight that weigh as much as one active connection when the
 // broker compares candidates, so a node streaming a few large documents
 // stops looking idle next to one serving many small ones.
@@ -78,20 +76,20 @@ std::optional<std::uint64_t> incoming_request_id(
   return rid ? parse_u64(*rid) : std::nullopt;
 }
 
-RequestHandler::RequestHandler(int node_id, RuntimeBrokerParams broker,
+RequestHandler::RequestHandler(int node_id, bool enable_redirects,
                                std::chrono::milliseconds retry_after_hint,
                                const DocStore& docs, LoadBoard& board,
-                               CacheDirectory* caches,
+                               NodeCache* cache,
                                const OverloadController& overload,
                                obs::Registry& registry,
                                obs::DecisionAudit* audit,
                                obs::SpanTracer* tracer)
     : self_(node_id),
-      broker_(broker),
+      enable_redirects_(enable_redirects),
       retry_after_hint_(retry_after_hint),
       docs_(docs),
       board_(board),
-      caches_(caches),
+      cache_(cache),
       overload_(overload),
       audit_(audit),
       tracer_(tracer) {
@@ -120,26 +118,16 @@ int RequestHandler::retry_after_s() const {
   return static_cast<int>(std::clamp(whole, 1.0, 120.0));
 }
 
-int RequestHandler::choose_node(int owner, std::string_view path,
+int RequestHandler::choose_node(int owner,
                                 const std::vector<NodeLoad>& loads) const {
-  // Cache-aware placement: a candidate holding the document resident
-  // serves it from RAM over the zero-copy path, so its apparent load gets
-  // a configurable discount (the heterogeneous-balancing literature's
-  // "affinity" term). Off unless a directory is attached and the knob set.
-  const CacheDirectory* caches =
-      broker_.cache_hit_discount > 0.0 ? caches_ : nullptr;
   // Δ-inflation included: redirects already aimed at a node count as load
   // even before their connections arrive (the unsynchronized-herd guard).
   // Bytes in flight weigh in too, scaled to connection units, so a node
   // streaming a few large documents does not masquerade as idle.
   const auto load_of = [&](int n) {
     const NodeLoad& l = loads[static_cast<std::size_t>(n)];
-    double load = static_cast<double>(l.effective_connections()) +
-                  static_cast<double>(l.bytes_in_flight) / kBytesPerConnection;
-    if (caches != nullptr && caches->resident(n, path)) {
-      load -= broker_.cache_hit_discount;
-    }
-    return load;
+    return static_cast<double>(l.effective_connections()) +
+           static_cast<double>(l.bytes_in_flight) / kBytesPerConnection;
   };
   // Browned-out peers are never eligible: a node shedding by class must not
   // be handed fresh work, even its own files (its admission gate would just
@@ -151,8 +139,7 @@ int RequestHandler::choose_node(int owner, std::string_view path,
   };
   // File locality first: the owner serves from its "local disk" unless it
   // is clearly busier than we are.
-  if (owner != self_ && eligible(owner) &&
-      load_of(owner) <= load_of(self_) + kLocalityPullThreshold) {
+  if (owner != self_ && eligible(owner) && load_of(owner) <= load_of(self_)) {
     return owner;
   }
   // Otherwise balance on connection-equivalent load. Self stays eligible —
@@ -240,8 +227,7 @@ ProcessOutcome RequestHandler::handle(const http::Request& request,
     if (cgi != nullptr) {
       shed_cgi_->inc();
       reject = "brownout: dynamic content shed";
-    } else if (caches_ != nullptr && caches_->enabled() &&
-               !caches_->resident(self_, canonical->path)) {
+    } else if (cache_ != nullptr && !cache_->contains(canonical->path)) {
       shed_uncached_->inc();
       reject = "brownout: non-resident document shed";
     }
@@ -279,14 +265,13 @@ ProcessOutcome RequestHandler::handle(const http::Request& request,
   } guard{board_, self_, expected};
 
   const bool audited = audit_ != nullptr && request_id != 0;
-  if (!already_redirected && (broker_.enable_redirects || audited)) {
+  if (!already_redirected && (enable_redirects_ || audited)) {
     const auto decide_start = std::chrono::steady_clock::now();
     // One board snapshot per brokered request: the broker decides on it
     // and the audit prices every candidate on the same state.
     const std::vector<NodeLoad> loads = board_.snapshot_all();
-    const int target = broker_.enable_redirects
-                           ? choose_node(doc->owner, canonical->path, loads)
-                           : self_;
+    const int target =
+        enable_redirects_ ? choose_node(doc->owner, loads) : self_;
     if (audited) {
       record_audit_decision(request_id, target,
                             static_cast<double>(expected), loads);
@@ -355,13 +340,10 @@ ProcessOutcome RequestHandler::handle(const http::Request& request,
     return finish(std::move(fresh));
   }
   const std::string mime(http::mime_type_for_path(canonical->path));
-  NodeCache* cache = caches_ != nullptr && caches_->enabled()
-                         ? &caches_->node(self_)
-                         : nullptr;
   if (is_head) {
     ok = http::make_ok(std::string(), mime);
     ok.headers.set("Content-Length", std::to_string(doc->size()));
-  } else if (cache != nullptr && cache->lookup(canonical->path)) {
+  } else if (cache_ != nullptr && cache_->lookup(canonical->path)) {
     // Hot path: the document is resident, so the response carries no
     // body of its own — the writer gather-writes the preserialized
     // header block and the DocStore's shared buffer (zero copies).
@@ -374,7 +356,7 @@ ProcessOutcome RequestHandler::handle(const http::Request& request,
     // (this is the doc_read cost a cache hit skips), then the document
     // is admitted so the next request hits.
     ok = http::make_ok(std::string(*doc->content), mime);
-    if (cache != nullptr) cache->insert(canonical->path, doc->size());
+    if (cache_ != nullptr) cache_->insert(canonical->path, doc->size());
   }
   ok.headers.add("Last-Modified",
                  http::format_http_date(doc->last_modified));

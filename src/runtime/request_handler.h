@@ -10,7 +10,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "http/message.h"
@@ -24,20 +23,6 @@
 #include "runtime/overload.h"
 
 namespace sweb::runtime {
-
-/// Redirect decision logic shared by all nodes (the runtime broker): prefer
-/// the owner node unless it is markedly busier than the best alternative.
-/// The fixed coefficients are constants in request_handler.cpp.
-struct RuntimeBrokerParams {
-  bool enable_redirects = true;
-  /// Cache-aware placement: connection units subtracted from a candidate's
-  /// apparent load when the requested document is resident in its page
-  /// cache — a warm peer serves from RAM (zero-copy), so it may be worth a
-  /// redirect even against a modest connection deficit. <= 0 (the default)
-  /// keeps placement purely load-based; needs a CacheDirectory attached to
-  /// take effect.
-  double cache_hit_discount = 0.0;
-};
 
 /// What handle() decided. An inline outcome carries the finished response
 /// (and possibly a zero-copy body); a CGI outcome carries what the caller
@@ -63,13 +48,18 @@ struct ProcessOutcome {
 [[nodiscard]] std::optional<std::uint64_t> incoming_request_id(
     const http::Request& request);
 
+/// The runtime broker: prefer the owner node unless it is markedly busier
+/// than the best alternative (fixed coefficients, constants in
+/// request_handler.cpp). It sees peers only through the LoadBoard.
 class RequestHandler {
  public:
-  /// `caches`, `audit` and `tracer` may be null.
-  RequestHandler(int node_id, RuntimeBrokerParams broker,
+  /// `cache` (this node's own; null when caching is off), `audit` and
+  /// `tracer` may be null. Without `enable_redirects` every request is
+  /// served here.
+  RequestHandler(int node_id, bool enable_redirects,
                  std::chrono::milliseconds retry_after_hint,
-                 const DocStore& docs, LoadBoard& board,
-                 CacheDirectory* caches, const OverloadController& overload,
+                 const DocStore& docs, LoadBoard& board, NodeCache* cache,
+                 const OverloadController& overload,
                  obs::Registry& registry, obs::DecisionAudit* audit,
                  obs::SpanTracer* tracer);
 
@@ -98,9 +88,9 @@ class RequestHandler {
   [[nodiscard]] int retry_after_s() const;
 
  private:
-  /// Chooses the serving node for `path` owned by `owner` on the board
-  /// state `loads`; may be self. The path feeds the cache discount.
-  [[nodiscard]] int choose_node(int owner, std::string_view path,
+  /// Chooses the serving node for a document owned by `owner` on the
+  /// board state `loads`; may be self.
+  [[nodiscard]] int choose_node(int owner,
                                 const std::vector<NodeLoad>& loads) const;
   /// Records the brokered choice with the audit, every candidate priced
   /// on the same board state the broker saw.
@@ -112,11 +102,11 @@ class RequestHandler {
                       const obs::PhaseClock& clock) const;
 
   int self_;
-  RuntimeBrokerParams broker_;
+  bool enable_redirects_;
   std::chrono::milliseconds retry_after_hint_;
   const DocStore& docs_;
   LoadBoard& board_;
-  CacheDirectory* caches_;
+  NodeCache* cache_;
   const OverloadController& overload_;
   obs::DecisionAudit* audit_;
   obs::SpanTracer* tracer_;

@@ -151,10 +151,8 @@ void TcpStream::set_nonblocking(bool enable) noexcept {
 TcpStream::NbRead TcpStream::read_nb(std::size_t max) {
   NbRead result;
   if (!fd_.valid() || max == 0) return result;
-  std::chrono::steady_clock::time_point now{};
   if (faults_ != nullptr) {
-    now = std::chrono::steady_clock::now();
-    const ConnectionFaults::Gate gate = faults_->gate_read(max, now);
+    const ConnectionFaults::Gate gate = faults_->gate_read(max);
     if (gate.retry_at) {
       result.ok = true;
       result.retry_at = gate.retry_at;
@@ -169,7 +167,7 @@ TcpStream::NbRead TcpStream::read_nb(std::size_t max) {
   } while (n < 0 && errno == EINTR);
   const int err = errno;
   if (faults_ != nullptr) {
-    faults_->note_read(n > 0 ? static_cast<std::size_t>(n) : 0, now);
+    faults_->note_read(n > 0 ? static_cast<std::size_t>(n) : 0);
   }
   if (n >= 0) {
     result.data.resize(static_cast<std::size_t>(n));
@@ -203,12 +201,10 @@ TcpStream::NbWrite TcpStream::write_some_v_nb(const std::string_view* segments,
     result.ok = true;
     return result;
   }
-  std::chrono::steady_clock::time_point now{};
   if (faults_ != nullptr) {
-    now = std::chrono::steady_clock::now();
     std::size_t want = 0;
     for (std::size_t i = 0; i < iov_count; ++i) want += iov[i].iov_len;
-    const ConnectionFaults::Gate gate = faults_->gate_write(want, now);
+    const ConnectionFaults::Gate gate = faults_->gate_write(want);
     if (gate.reset) {
       hard_reset();
       return result;
@@ -237,7 +233,7 @@ TcpStream::NbWrite TcpStream::write_some_v_nb(const std::string_view* segments,
   } while (n < 0 && errno == EINTR);
   const int err = errno;
   if (faults_ != nullptr) {
-    faults_->note_write(n > 0 ? static_cast<std::size_t>(n) : 0, now);
+    faults_->note_write(n > 0 ? static_cast<std::size_t>(n) : 0);
   }
   if (n >= 0) {
     result.written = static_cast<std::size_t>(n);

@@ -17,6 +17,8 @@
 #include <string_view>
 #include <system_error>
 
+#include "runtime/clock.h"
+
 namespace sweb::runtime {
 
 class ConnectionFaults;  // chaos.h
@@ -121,11 +123,11 @@ class TcpStream {
   // These never sleep and never poll, and they are the only calls that
   // consult attached faults (chaos.h): a faulted stream may answer
   // retry_at — the link holds the op, no I/O was done, call again at that
-  // time (an earlier call answers the same time) — and clamps the bytes
-  // one op moves. EINTR is retried inline (a signal is not a state
-  // change); EAGAIN surfaces as would_block=true so the state machine can
-  // park until the next readiness event. A clean stream pays a pointer
-  // test and no clock read.
+  // time on the faults' clock (an earlier call answers the same time) —
+  // and clamps the bytes one op moves. EINTR is retried inline (a signal
+  // is not a state change); EAGAIN surfaces as would_block=true so the
+  // state machine can park until the next readiness event. A clean stream
+  // pays a pointer test and no clock read.
 
   /// One nonblocking recv of up to `max` bytes.
   struct NbRead {
@@ -133,7 +135,7 @@ class TcpStream {
     bool ok = false;          // false: hard error (connection is dead)
     bool eof = false;         // ok && the peer half-closed
     bool would_block = false; // ok && no bytes available right now
-    std::optional<Deadline> retry_at;  // ok && held by a link fault
+    std::optional<Clock::TimePoint> retry_at;  // ok && held by a link fault
   };
   [[nodiscard]] NbRead read_nb(std::size_t max);
 
@@ -145,7 +147,7 @@ class TcpStream {
     std::size_t written = 0;
     bool ok = false;
     bool would_block = false;
-    std::optional<Deadline> retry_at;  // ok && held by a link fault
+    std::optional<Clock::TimePoint> retry_at;  // ok && held by a link fault
   };
   [[nodiscard]] NbWrite write_some_v_nb(const std::string_view* segments,
                                         std::size_t count);
@@ -202,7 +204,6 @@ class TcpListener {
   /// in accept() before calling. A later `listener = TcpListener(port())`
   /// rebinds the same port (SO_REUSEADDR).
   void close() noexcept { fd_.reset(); }
-  [[nodiscard]] bool listening() const noexcept { return fd_.valid(); }
 
  private:
   FileDescriptor fd_;

@@ -20,18 +20,15 @@
 #include "obs/registry.h"
 #include "runtime/chaos.h"
 #include "runtime/client.h"
+#include "runtime/clock.h"
 #include "runtime/mini_cluster.h"
 #include "runtime/socket.h"
+#include "runtime_test_support.h"
 
 namespace sweb::runtime {
 namespace {
 
 using namespace std::chrono_literals;
-
-fs::Docbase small_docbase(int nodes) {
-  return fs::make_uniform(12, 4096, nodes, fs::Placement::kRoundRobin,
-                          nullptr, "/docs");
-}
 
 [[nodiscard]] std::chrono::milliseconds elapsed_since(
     std::chrono::steady_clock::time_point start) {
@@ -39,43 +36,13 @@ fs::Docbase small_docbase(int nodes) {
       std::chrono::steady_clock::now() - start);
 }
 
-/// Spins until `predicate` holds or `timeout` passes; true on success.
-template <typename Predicate>
-[[nodiscard]] bool eventually(Predicate predicate,
-                              std::chrono::milliseconds timeout = 5000ms) {
-  const Deadline deadline = deadline_after(timeout);
-  while (!predicate()) {
-    if (time_remaining(deadline) <= 0ms) return false;
-    std::this_thread::sleep_for(2ms);
-  }
-  return true;
-}
-
-/// Reads one full HTTP response off `stream`; nullopt on failure/timeout.
-[[nodiscard]] std::optional<http::Response> try_read_response(
-    TcpStream& stream, std::chrono::milliseconds timeout = 2000ms) {
-  http::ResponseParser parser;
-  http::ParseResult state = http::ParseResult::kNeedMore;
-  const Deadline deadline = deadline_after(timeout);
-  while (state == http::ParseResult::kNeedMore) {
-    const auto chunk = stream.read_some(16 * 1024, time_remaining(deadline));
-    if (!chunk.ok) return std::nullopt;
-    if (chunk.eof) {
-      state = parser.finish_eof();
-      break;
-    }
-    std::size_t consumed = 0;
-    state = parser.feed(chunk.data, consumed);
-  }
-  if (state != http::ParseResult::kComplete) return std::nullopt;
-  return parser.message();
-}
-
 /// One connected client/server stream pair whose server side carries the
-/// director's fault plan, attached the way a node attaches it at admit.
+/// director's fault plan, attached the way a node attaches it at admit;
+/// the faults pace on `clock`.
 struct ChaosPair {
+  ManualClock clock;
   TcpListener listener{0};
-  ChaosDirector director;
+  ChaosDirector director{clock};
   TcpStream client;
   TcpStream server;
 };
@@ -103,17 +70,6 @@ struct ChaosPair {
   }
 }
 
-/// Brackets a held op's retry time: it must be `delay` after the moment
-/// the stream was asked, which lies between `before` and `after`.
-void expect_held_for(const std::optional<Deadline>& retry_at,
-                     std::chrono::steady_clock::time_point before,
-                     std::chrono::steady_clock::time_point after,
-                     std::chrono::milliseconds delay) {
-  ASSERT_TRUE(retry_at.has_value());
-  EXPECT_GE(*retry_at, before + delay);
-  EXPECT_LE(*retry_at, after + delay);
-}
-
 // --- Socket-level fault injection ------------------------------------------
 
 TEST(Chaos, ReadDelayInjectsLatency) {
@@ -125,15 +81,17 @@ TEST(Chaos, ReadDelayInjectsLatency) {
   ASSERT_TRUE(pair.server.wait_readable(2000ms));
   // The injected delay lands on the degraded (server) side of the link:
   // the read is held for exactly read_delay, with no bytes consumed.
-  const auto before = std::chrono::steady_clock::now();
+  const auto t0 = pair.clock.now();
   const auto held = pair.server.read_nb(16);
-  const auto after = std::chrono::steady_clock::now();
   EXPECT_TRUE(held.ok);
   EXPECT_TRUE(held.data.empty());
-  expect_held_for(held.retry_at, before, after, 80ms);
+  EXPECT_EQ(held.retry_at, t0 + 80ms);
   // Asking early answers the same time: the delay is charged once per op.
-  EXPECT_EQ(pair.server.read_nb(16).retry_at, held.retry_at);
-  std::this_thread::sleep_until(*held.retry_at);
+  pair.clock.advance(79ms);
+  const auto early = pair.server.read_nb(16);
+  EXPECT_EQ(early.retry_at, held.retry_at);
+  EXPECT_TRUE(early.data.empty());
+  pair.clock.advance(1ms);
   const auto chunk = pair.server.read_nb(16);
   EXPECT_TRUE(chunk.ok);
   EXPECT_FALSE(chunk.retry_at.has_value());
@@ -147,11 +105,12 @@ TEST(Chaos, FirstReadStallFiresExactlyOnce) {
   ASSERT_TRUE(connect_pair(pair, plan));
   ASSERT_TRUE(pair.client.write_all("ab", 2000ms));
   ASSERT_TRUE(pair.server.wait_readable(2000ms));
-  const auto before = std::chrono::steady_clock::now();
+  const auto t0 = pair.clock.now();
   const auto stalled = pair.server.read_nb(16);
-  const auto after = std::chrono::steady_clock::now();
-  expect_held_for(stalled.retry_at, before, after, 80ms);  // the one stall
-  std::this_thread::sleep_until(*stalled.retry_at);
+  EXPECT_EQ(stalled.retry_at, t0 + 80ms);  // the one stall
+  pair.clock.advance(79ms);
+  EXPECT_EQ(pair.server.read_nb(16).retry_at, stalled.retry_at);
+  pair.clock.advance(1ms);
   EXPECT_EQ(pair.server.read_nb(16).data, "ab");
   // Later reads run clean: no hold at all.
   ASSERT_TRUE(pair.client.write_all("cd", 2000ms));
@@ -171,25 +130,23 @@ TEST(Chaos, ThrottlePacesWritesToTheConfiguredRate) {
   int holds = 0;
   while (sent < payload.size()) {
     const std::string_view rest = std::string_view(payload).substr(sent);
-    const auto before = std::chrono::steady_clock::now();
+    const auto t = pair.clock.now();
     const auto w = pair.server.write_some_v_nb(&rest, 1);
     ASSERT_TRUE(w.ok);
-    if (w.retry_at) {
-      ++holds;
-      std::this_thread::sleep_until(*w.retry_at);
-      continue;
-    }
+    ASSERT_FALSE(w.retry_at.has_value());  // the pacing was waited out
     // Each send moves one slice; the next one is held for the slice's
     // pacing: 1024 B at 8192 B/s is 125 ms after this send.
     EXPECT_EQ(w.written, 1024u);
     sent += w.written;
     if (sent < payload.size()) {
-      const auto after = std::chrono::steady_clock::now();
       const std::string_view next = std::string_view(payload).substr(sent);
       const auto paced = pair.server.write_some_v_nb(&next, 1);
-      expect_held_for(paced.retry_at, before, after, 125ms);
+      EXPECT_EQ(paced.retry_at, t + 125ms);
       ++holds;
-      std::this_thread::sleep_until(*paced.retry_at);
+      pair.clock.advance(124ms);
+      EXPECT_EQ(pair.server.write_some_v_nb(&next, 1).retry_at,
+                paced.retry_at);
+      pair.clock.advance(1ms);
     }
   }
   EXPECT_EQ(holds, 3);
@@ -201,8 +158,7 @@ TEST(Chaos, TornWritesClampSegmentsButDeliverEveryByte) {
   FaultPlan plan;
   plan.torn_write_max_bytes = 128;
   ConnectionFaults faults(plan, /*seed=*/1, /*doomed=*/false, nullptr);
-  const ConnectionFaults::Gate gate =
-      faults.gate_write(10 * 1024, std::chrono::steady_clock::now());
+  const ConnectionFaults::Gate gate = faults.gate_write(10 * 1024);
   EXPECT_FALSE(gate.retry_at.has_value());
   EXPECT_FALSE(gate.reset);
   EXPECT_EQ(gate.budget, 128u);
@@ -274,8 +230,7 @@ TEST(Chaos, SameSeedDoomsTheSameConnections) {
     std::vector<bool> pattern;
     for (int i = 0; i < 32; ++i) {
       const auto faults = director.admit();
-      pattern.push_back(
-          faults->gate_write(64, std::chrono::steady_clock::now()).reset);
+      pattern.push_back(faults->gate_write(64).reset);
     }
     return pattern;
   };
@@ -316,32 +271,41 @@ TEST(Chaos, OversizedRequestLineAnswers400) {
 }
 
 TEST(Chaos, SlowlorisClientGets408WithinHeaderDeadline) {
+  ManualClock clock;
   MiniClusterOptions options;
   options.header_timeout = 300ms;
-  MiniCluster cluster(1, small_docbase(1), options);
-  cluster.start();
+  MiniCluster cluster(1, small_docbase(1), options, clock);
   auto stream =
       TcpStream::connect(SocketAddress::loopback(cluster.port(0)), 2000ms);
   ASSERT_TRUE(stream.has_value());
+  // Admitted at virtual t0: the whole request is due by t0 + 300 ms.
+  ASSERT_TRUE(step_until(
+      cluster, [&] { return cluster.node(0).active_connections() == 1; }));
   // Trickle one header byte per 100 ms — far slower than the deadline —
   // then go quiet and listen. (No writes once the 408 may have fired: a
   // write racing the server's close would RST away the buffered response.)
   const std::string request = "GET /docs/file0.html HTTP/1.0\r\n\r\n";
-  const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE(stream->write_all(std::string(1, request[i]), 500ms));
-    std::this_thread::sleep_for(100ms);
+    for (int step = 0; step < 3; ++step) cluster.run_once();
+    clock.advance(100ms);
   }
+  const auto answered = [&] { return stream->wait_readable(0ms); };
+  // The bytes did not extend the deadline: nothing at t0 + 299 ms...
+  clock.advance(99ms);
+  for (int step = 0; step < 3; ++step) cluster.run_once();
+  EXPECT_FALSE(answered());
+  EXPECT_EQ(cluster.node(0).request_timeouts(), 0u);
+  // ...and the 408 at t0 + 300 ms, not at io_timeout.
+  clock.advance(1ms);
+  ASSERT_TRUE(step_until(cluster, answered));
   const auto response = try_read_response(*stream);
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(http::code(response->status), 408);
   EXPECT_EQ(response->headers.get("Connection"), "close");
-  // Answered within the header deadline (plus slack), not io_timeout.
-  EXPECT_LT(elapsed_since(start), 1500ms);
   EXPECT_EQ(cluster.node(0).request_timeouts(), 1u);
-  // The slot freed itself: the node drains back to idle.
-  EXPECT_TRUE(
-      eventually([&] { return cluster.node(0).active_connections() == 0; }));
+  // The slot freed itself: the node is back to idle.
+  EXPECT_EQ(cluster.node(0).active_connections(), 0);
 }
 
 TEST(Chaos, Shed503CarriesRetryAfterHint) {
@@ -373,35 +337,49 @@ TEST(Chaos, Shed503CarriesRetryAfterHint) {
 TEST(Chaos, ShedNeverStallsTheLoopOnAFaultedNode) {
   // A refused connection was never admitted, so it carries no link faults:
   // its 503 goes out at once, however slow the node's admitted links are.
+  ManualClock clock;
   MiniClusterOptions options;
   options.max_connections = 1;
   options.chaos_node = 0;
   options.chaos.write_delay = 400ms;
-  MiniCluster cluster(1, small_docbase(1), options);
-  cluster.start();
+  MiniCluster cluster(1, small_docbase(1), options, clock);
   const SocketAddress address = SocketAddress::loopback(cluster.port(0));
   auto held = TcpStream::connect(address, 2000ms);
   ASSERT_TRUE(held.has_value());
-  ASSERT_TRUE(
-      eventually([&] { return cluster.node(0).active_connections() == 1; }));
+  ASSERT_TRUE(held->write_all("GET /docs/file0.html HTTP/1.0\r\n\r\n", 2000ms));
+  // The admitted request is parsed at virtual t0; its response is held.
+  obs::Counter& parsed = cluster.registry().counter("node.0.requests");
+  ASSERT_TRUE(step_until(cluster, [&] { return parsed.value() == 1u; }));
   std::vector<TcpStream> refused;
-  std::vector<std::chrono::steady_clock::time_point> connected_at;
   for (int i = 0; i < 3; ++i) {
-    connected_at.push_back(std::chrono::steady_clock::now());
     auto conn = TcpStream::connect(address, 2000ms);
     ASSERT_TRUE(conn.has_value());
     refused.push_back(std::move(*conn));
   }
+  // Every 503 leaves without the clock moving: still virtual t0.
+  ASSERT_TRUE(step_until(cluster, [&] {
+    return std::all_of(refused.begin(), refused.end(), [](TcpStream& conn) {
+      return conn.wait_readable(0ms);
+    });
+  }));
   for (std::size_t i = 0; i < refused.size(); ++i) {
     const auto response = try_read_response(refused[i]);
     ASSERT_TRUE(response.has_value()) << "refused connection " << i;
     EXPECT_EQ(http::code(response->status), 503);
-    EXPECT_LT(elapsed_since(connected_at[i]), 400ms)
-        << "refused connection " << i << " waited out the write delay";
   }
   EXPECT_EQ(cluster.node(0).shed_count(), 3u);
   // Only the admitted connection took a fault draw.
   EXPECT_EQ(cluster.node(0).chaos().connections_faulted(), 1u);
+  // Its response alone waits out the write delay: held at t0 + 399 ms,
+  // sent at t0 + 400 ms.
+  clock.advance(399ms);
+  for (int step = 0; step < 3; ++step) cluster.run_once();
+  EXPECT_FALSE(held->wait_readable(0ms));
+  clock.advance(1ms);
+  ASSERT_TRUE(step_until(cluster, [&] { return held->wait_readable(0ms); }));
+  const auto served = try_read_response(*held);
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(http::code(served->status), 200);
 }
 
 /// Drives one of each client-visible error through `node`, which must be

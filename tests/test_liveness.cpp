@@ -13,55 +13,18 @@
 #include <vector>
 
 #include "fs/docbase.h"
-#include "http/parser.h"
 #include "obs/registry.h"
 #include "runtime/client.h"
 #include "runtime/clock.h"
 #include "runtime/load_board.h"
 #include "runtime/mini_cluster.h"
 #include "runtime/socket.h"
+#include "runtime_test_support.h"
 
 namespace sweb::runtime {
 namespace {
 
 using namespace std::chrono_literals;
-
-fs::Docbase small_docbase(int nodes) {
-  return fs::make_uniform(12, 4096, nodes, fs::Placement::kRoundRobin,
-                          nullptr, "/docs");
-}
-
-/// Spins until `predicate` holds or `timeout` passes; true on success.
-template <typename Predicate>
-[[nodiscard]] bool eventually(Predicate predicate,
-                              std::chrono::milliseconds timeout = 5000ms) {
-  const Deadline deadline = deadline_after(timeout);
-  while (!predicate()) {
-    if (time_remaining(deadline) <= 0ms) return false;
-    std::this_thread::sleep_for(2ms);
-  }
-  return true;
-}
-
-/// Reads one full HTTP response off `stream` (EOF- or
-/// Content-Length-framed).
-[[nodiscard]] http::Response read_response(TcpStream& stream) {
-  http::ResponseParser parser;
-  http::ParseResult state = http::ParseResult::kNeedMore;
-  while (state == http::ParseResult::kNeedMore) {
-    const auto chunk = stream.read_some(16 * 1024, 2000ms);
-    EXPECT_TRUE(chunk.ok);
-    if (!chunk.ok) break;
-    if (chunk.eof) {
-      state = parser.finish_eof();
-      break;
-    }
-    std::size_t consumed = 0;
-    state = parser.feed(chunk.data, consumed);
-  }
-  EXPECT_EQ(state, http::ParseResult::kComplete);
-  return parser.message();
-}
 
 /// Threads in this process: the entries of /proc/self/task.
 [[nodiscard]] int thread_count() {
@@ -318,25 +281,37 @@ TEST(Liveness, HungNodeIsDetectedButStillServesAndRejoins) {
   // hang() stops the heartbeat only: the liveness lease lapses (peers mark
   // the node down, so no new redirects target it) while the node itself
   // keeps serving whatever still reaches it directly.
-  MiniCluster cluster(2, small_docbase(2), fast_liveness());
-  cluster.start();
+  ManualClock clock;
+  MiniCluster cluster(2, small_docbase(2), fast_liveness(), clock);
+  cluster.run_once();  // both nodes join at virtual t0; ticks every 50 ms
   cluster.hang(1);
-  ASSERT_TRUE(eventually(
-      [&cluster] { return !cluster.board().snapshot(1).available; }));
-  EXPECT_GE(cluster.registry().counter("liveness.marked_down").value(), 1u);
+  // Node 0's tick sweeps node 1's lease, last stamped at t0: still fresh
+  // at the last tick inside the 250 ms lease...
+  for (int tick = 1; tick <= 5; ++tick) {
+    clock.advance(50ms);
+    cluster.run_once();
+    EXPECT_TRUE(cluster.board().snapshot(1).available) << "tick " << tick;
+  }
+  // ...and marked down at the first tick past it, once.
+  clock.advance(50ms);
+  cluster.run_once();
+  EXPECT_FALSE(cluster.board().snapshot(1).available);
+  EXPECT_EQ(cluster.registry().counter("liveness.marked_down").value(), 1u);
 
   // Still serving: a direct request to the hung node succeeds.
-  const auto direct = fetch("http://127.0.0.1:" +
-                            std::to_string(cluster.port(1)) +
-                            "/docs/file1.html");
+  auto direct =
+      TcpStream::connect(SocketAddress::loopback(cluster.port(1)), 2000ms);
   ASSERT_TRUE(direct.has_value());
-  EXPECT_EQ(http::code(direct->response.status), 200);
-  EXPECT_EQ(direct->response.headers.get("X-Sweb-Node"), "1");
+  ASSERT_TRUE(
+      direct->write_all("GET /docs/file1.html HTTP/1.0\r\n\r\n", 2000ms));
+  ASSERT_TRUE(step_until(cluster, [&] { return direct->wait_readable(0ms); }));
+  const http::Response response = read_response(*direct);
+  EXPECT_EQ(http::code(response.status), 200);
+  EXPECT_EQ(response.headers.get("X-Sweb-Node"), "1");
 
   cluster.recover(1);
-  ASSERT_TRUE(eventually(
-      [&cluster] { return cluster.board().snapshot(1).available; }));
-  EXPECT_GE(cluster.registry().counter("liveness.rejoined").value(), 1u);
+  EXPECT_TRUE(cluster.board().snapshot(1).available);
+  EXPECT_EQ(cluster.registry().counter("liveness.rejoined").value(), 1u);
 }
 
 TEST(Liveness, StatusEndpointReportsLivenessFields) {

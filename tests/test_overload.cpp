@@ -22,49 +22,12 @@
 #include "runtime/mini_cluster.h"
 #include "runtime/overload.h"
 #include "runtime/socket.h"
+#include "runtime_test_support.h"
 
 namespace sweb::runtime {
 namespace {
 
 using namespace std::chrono_literals;
-
-fs::Docbase small_docbase(int nodes) {
-  return fs::make_uniform(12, 4096, nodes, fs::Placement::kRoundRobin,
-                          nullptr, "/docs");
-}
-
-/// Spins until `predicate` holds or `timeout` passes; true on success.
-template <typename Predicate>
-[[nodiscard]] bool eventually(Predicate predicate,
-                              std::chrono::milliseconds timeout = 5000ms) {
-  const Deadline deadline = deadline_after(timeout);
-  while (!predicate()) {
-    if (time_remaining(deadline) <= 0ms) return false;
-    std::this_thread::sleep_for(2ms);
-  }
-  return true;
-}
-
-/// Reads one full HTTP response off `stream`; nullopt on failure/timeout.
-/// Content-Length framing, so it works on keep-alive connections too.
-[[nodiscard]] std::optional<http::Response> try_read_response(
-    TcpStream& stream, std::chrono::milliseconds timeout = 2000ms) {
-  http::ResponseParser parser;
-  http::ParseResult state = http::ParseResult::kNeedMore;
-  const Deadline deadline = deadline_after(timeout);
-  while (state == http::ParseResult::kNeedMore) {
-    const auto chunk = stream.read_some(16 * 1024, time_remaining(deadline));
-    if (!chunk.ok) return std::nullopt;
-    if (chunk.eof) {
-      state = parser.finish_eof();
-      break;
-    }
-    std::size_t consumed = 0;
-    state = parser.feed(chunk.data, consumed);
-  }
-  if (state != http::ParseResult::kComplete) return std::nullopt;
-  return parser.message();
-}
 
 /// One request on an already-open keep-alive connection.
 [[nodiscard]] std::optional<http::Response> keepalive_get(
@@ -255,8 +218,8 @@ TEST(Overload, BrownoutServesResidentShedsCgiAndColdDocuments) {
   const auto warm = fetch(node0 + "/docs/file0.html?sweb-hop=1");
   ASSERT_TRUE(warm.has_value());
   ASSERT_EQ(http::code(warm->response.status), 200);
-  ASSERT_TRUE(cluster.caches().resident(0, "/docs/file0.html"));
-  ASSERT_FALSE(cluster.caches().resident(0, "/docs/file2.html"));
+  ASSERT_TRUE(cluster.caches().node(0).contains("/docs/file0.html"));
+  ASSERT_FALSE(cluster.caches().node(0).contains("/docs/file2.html"));
 
   // Pin node 0 browned-out (controller disabled -> the pin holds).
   cluster.node(0).force_overload(OverloadState::kBrownout);

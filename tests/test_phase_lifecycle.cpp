@@ -24,27 +24,12 @@
 #include "runtime/chaos.h"
 #include "runtime/client.h"
 #include "runtime/mini_cluster.h"
+#include "runtime_test_support.h"
 
 namespace sweb::runtime {
 namespace {
 
 using namespace std::chrono_literals;
-
-fs::Docbase small_docbase(int nodes) {
-  return fs::make_uniform(12, 4096, nodes, fs::Placement::kRoundRobin,
-                          nullptr, "/docs");
-}
-
-/// Polls `predicate` until it holds or a 2 s deadline passes.
-template <typename Predicate>
-[[nodiscard]] bool eventually(Predicate predicate) {
-  const auto deadline = std::chrono::steady_clock::now() + 2s;
-  while (!predicate()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(2ms);
-  }
-  return true;
-}
 
 /// Fetches and parses one node's /sweb/status document.
 [[nodiscard]] obs::JsonValue fetch_status(MiniCluster& cluster, int node) {

@@ -30,15 +30,15 @@ using namespace std::chrono_literals;
 /// owned by node i % 2, both nodes are joined and idle, and node 1
 /// listens on port 8001.
 struct Rig {
-  explicit Rig(RuntimeBrokerParams broker = {},
+  explicit Rig(bool enable_redirects = true,
                OverloadParams overload_params = {})
       : docs(fs::make_uniform(12, 4096, 2, fs::Placement::kRoundRobin,
                               nullptr, "/docs")),
         board(2),
-        caches(2, 1 << 20),
+        cache(1 << 20),
         overload(overload_params),
-        handler(0, broker, 1000ms, docs, board, &caches, overload, registry,
-                &audit, nullptr) {
+        handler(0, enable_redirects, 1000ms, docs, board, &cache, overload,
+                registry, &audit, nullptr) {
     docs.register_cgi("/cgi/echo", 0,
                       [](const http::Request&, std::string_view query) {
                         return http::make_ok(std::string(query),
@@ -72,7 +72,7 @@ struct Rig {
   obs::Registry registry;
   DocStore docs;
   LoadBoard board;
-  CacheDirectory caches;
+  NodeCache cache;
   OverloadController overload;
   obs::DecisionAudit audit;
   RequestHandler handler;
@@ -92,7 +92,7 @@ TEST(RequestHandler, ColdGetCopiesThenDocumentIsResident) {
   EXPECT_EQ(status_of(out), 200);
   EXPECT_EQ(out.body, nullptr);
   EXPECT_EQ(out.response.body.size(), 4096u);
-  EXPECT_TRUE(rig.caches.resident(0, "/docs/file0.html"));
+  EXPECT_TRUE(rig.cache.contains("/docs/file0.html"));
   EXPECT_TRUE(rig.board_idle());
 }
 
@@ -171,9 +171,7 @@ TEST(RequestHandler, NoRedirectToOverloadedOrUnavailableOwner) {
 }
 
 TEST(RequestHandler, RedirectsDisabledServesLocally) {
-  RuntimeBrokerParams broker;
-  broker.enable_redirects = false;
-  Rig rig(broker);
+  Rig rig(/*enable_redirects=*/false);
   const auto out = rig.get("/docs/file1.html", 3);
   EXPECT_EQ(status_of(out), 200);
   EXPECT_EQ(node_of(out), "0");
@@ -223,8 +221,8 @@ TEST(RequestHandler, IncomingRequestIdMatchesWholeParameters) {
 TEST(RequestHandler, BrownoutShedsCgiAndUncachedButServesCheapWork) {
   OverloadParams params;
   params.enabled = true;
-  Rig rig({}, params);
-  rig.caches.node(0).insert("/docs/file2.html", 4096);
+  Rig rig(true, params);
+  rig.cache.insert("/docs/file2.html", 4096);
   rig.overload.force_state(OverloadState::kBrownout, 0.0);
 
   for (const char* target : {"/cgi/echo?x=1", "/docs/file0.html"}) {
@@ -259,23 +257,6 @@ TEST(RequestHandler, CgiLeavesExactlyOneOpenChargeUntilCompleted) {
   EXPECT_TRUE(rig.board_idle());
   EXPECT_EQ(rig.board.snapshot(0).served, 1u);
   EXPECT_FALSE(rig.audit.pending(5).has_value());  // decision joined
-}
-
-TEST(RequestHandler, CacheDiscountPullsRequestToWarmPeer) {
-  // file0 is ours and cold here, but resident on node 1.
-  Rig plain;
-  plain.caches.node(1).insert("/docs/file0.html", 4096);
-  EXPECT_EQ(status_of(plain.get("/docs/file0.html")), 200);
-
-  RuntimeBrokerParams broker;
-  broker.cache_hit_discount = 3.0;
-  Rig warm(broker);
-  warm.caches.node(1).insert("/docs/file0.html", 4096);
-  const auto out = warm.get("/docs/file0.html");
-  ASSERT_EQ(status_of(out), 302);
-  EXPECT_EQ(out.response.headers.get("Location"),
-            "http://127.0.0.1:8001/docs/file0.html?sweb-hop=1");
-  EXPECT_TRUE(warm.board_idle());
 }
 
 TEST(RequestHandler, IntrospectionIsReportedNotRendered) {

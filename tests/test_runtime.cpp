@@ -7,20 +7,15 @@
 #include <vector>
 
 #include "fs/docbase.h"
-#include "http/parser.h"
 #include "obs/registry.h"
 #include "runtime/client.h"
 #include "runtime/load_board.h"
 #include "runtime/socket.h"
 #include "runtime/mini_cluster.h"
+#include "runtime_test_support.h"
 
 namespace sweb::runtime {
 namespace {
-
-fs::Docbase small_docbase(int nodes) {
-  return fs::make_uniform(12, 4096, nodes, fs::Placement::kRoundRobin,
-                          nullptr, "/docs");
-}
 
 TEST(Runtime, ServesDocumentOverRealSocket) {
   MiniCluster cluster(2, small_docbase(2));
@@ -168,21 +163,10 @@ TEST(Runtime, ConditionalGetReturns304WhenFresh) {
   request.headers.add("If-Modified-Since", std::string(*stamp));
   ASSERT_TRUE(stream->write_all(request.serialize(), std::chrono::seconds(2)));
   stream->shutdown_write();
-  http::ResponseParser parser;
-  http::ParseResult state = http::ParseResult::kNeedMore;
-  while (state == http::ParseResult::kNeedMore) {
-    const auto chunk = stream->read_some(8192, std::chrono::seconds(2));
-    ASSERT_TRUE(chunk.ok);
-    if (chunk.eof) {
-      state = parser.finish_eof();
-      break;
-    }
-    std::size_t consumed = 0;
-    state = parser.feed(chunk.data, consumed);
-  }
-  ASSERT_EQ(state, http::ParseResult::kComplete);
-  EXPECT_EQ(http::code(parser.message().status), 304);
-  EXPECT_TRUE(parser.message().body.empty());
+  const auto response = try_read_response(*stream);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(http::code(response->status), 304);
+  EXPECT_TRUE(response->body.empty());
 }
 
 TEST(Runtime, StaleIfModifiedSinceGetsFullBody) {
@@ -198,21 +182,10 @@ TEST(Runtime, StaleIfModifiedSinceGetsFullBody) {
                       "Mon, 01 Jan 1990 00:00:00 GMT");
   ASSERT_TRUE(stream->write_all(request.serialize(), std::chrono::seconds(2)));
   stream->shutdown_write();
-  http::ResponseParser parser;
-  http::ParseResult state = http::ParseResult::kNeedMore;
-  while (state == http::ParseResult::kNeedMore) {
-    const auto chunk = stream->read_some(16384, std::chrono::seconds(2));
-    ASSERT_TRUE(chunk.ok);
-    if (chunk.eof) {
-      state = parser.finish_eof();
-      break;
-    }
-    std::size_t consumed = 0;
-    state = parser.feed(chunk.data, consumed);
-  }
-  ASSERT_EQ(state, http::ParseResult::kComplete);
-  EXPECT_EQ(http::code(parser.message().status), 200);
-  EXPECT_EQ(parser.message().body.size(), 4096u);
+  const auto response = try_read_response(*stream);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(http::code(response->status), 200);
+  EXPECT_EQ(response->body.size(), 4096u);
 }
 
 TEST(Runtime, RedirectWithoutLocationReturnsNullopt) {
@@ -286,7 +259,7 @@ TEST(Runtime, LoadBoardUnderflowCounterReachesRegistry) {
 
 TEST(Runtime, RedirectsCanBeDisabled) {
   MiniClusterOptions options;
-  options.broker.enable_redirects = false;
+  options.enable_redirects = false;
   MiniCluster cluster(2, small_docbase(2), options);
   cluster.start();
   const std::string url = "http://127.0.0.1:" +

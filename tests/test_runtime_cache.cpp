@@ -1,6 +1,7 @@
 // The zero-copy hot path and its runtime page cache: residency bookkeeping,
 // writev serving byte-identical to the copy path (torn writes included),
-// cache-aware redirect placement, and the HEAD/304 load-accounting fixes.
+// owner placement beside a warm peer, and the HEAD/304 load-accounting
+// fixes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,14 +18,10 @@
 #include "runtime/mini_cluster.h"
 #include "runtime/node_cache.h"
 #include "runtime/socket.h"
+#include "runtime_test_support.h"
 
 namespace sweb::runtime {
 namespace {
-
-fs::Docbase small_docbase(int nodes) {
-  return fs::make_uniform(12, 4096, nodes, fs::Placement::kRoundRobin,
-                          nullptr, "/docs");
-}
 
 /// Raw HTTP exchange against one node: returns the unparsed wire bytes and
 /// the parsed response (tests that care about the status line's exact text
@@ -91,14 +88,13 @@ TEST(NodeCache, DirectoryResidencyGuardsBoundsAndDisabled) {
   CacheDirectory caches(2, 1 << 20);
   EXPECT_TRUE(caches.enabled());
   caches.node(1).insert("/docs/file0.html", 4096);
-  EXPECT_TRUE(caches.resident(1, "/docs/file0.html"));
-  EXPECT_FALSE(caches.resident(0, "/docs/file0.html"));
-  EXPECT_FALSE(caches.resident(-1, "/docs/file0.html"));
-  EXPECT_FALSE(caches.resident(2, "/docs/file0.html"));
+  EXPECT_TRUE(caches.node(1).contains("/docs/file0.html"));
+  EXPECT_FALSE(caches.node(0).contains("/docs/file0.html"));
 
   CacheDirectory disabled(2, 0);
   EXPECT_FALSE(disabled.enabled());
-  EXPECT_FALSE(disabled.resident(0, "/docs/file0.html"));
+  disabled.node(0).insert("/docs/file0.html", 4096);
+  EXPECT_FALSE(disabled.node(0).contains("/docs/file0.html"));
 }
 
 // --- Zero-copy hot path over real sockets --------------------------------
@@ -164,35 +160,10 @@ TEST(RuntimeCache, HotPathSurvivesTornWrites) {
   EXPECT_GE(cluster.caches().node(0).hits(), 1u);
 }
 
-TEST(RuntimeCache, DiscountRedirectsTowardResidentNode) {
-  // file0 is owned by node 0; warm node 1's cache by forcing a local serve
-  // there, then ask node 0. With a discount beating the redirect advantage
-  // the broker must prefer the resident (zero-copy) peer over serving the
-  // document it owns.
-  MiniClusterOptions options;
-  options.broker.cache_hit_discount = 3.0;  // > kMinConnectionAdvantage (2)
-  MiniCluster cluster(2, small_docbase(2), options);
-  cluster.start();
-  const std::string path = "/docs/file0.html";
-  const auto warmup = fetch("http://127.0.0.1:" +
-                            std::to_string(cluster.port(1)) + path +
-                            "?sweb-hop=1");
-  ASSERT_TRUE(warmup.has_value());
-  ASSERT_EQ(http::code(warmup->response.status), 200);
-  ASSERT_TRUE(cluster.caches().resident(1, path));
-  ASSERT_FALSE(cluster.caches().resident(0, path));
-
-  const auto result = fetch("http://127.0.0.1:" +
-                            std::to_string(cluster.port(0)) + path);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(http::code(result->response.status), 200);
-  EXPECT_EQ(result->redirects_followed, 1);
-  EXPECT_EQ(result->response.headers.get("X-Sweb-Node"), "1");
-}
-
 TEST(RuntimeCache, NoDiscountKeepsOwnerServing) {
-  // Same warm-peer setup, default knob: placement stays load-based and the
-  // owner answers its own document locally.
+  // A warm peer does not pull the request: brokers never see a peer's
+  // cache, so placement is load-based and the owner answers its own
+  // document locally.
   MiniCluster cluster(2, small_docbase(2));
   cluster.start();
   const std::string path = "/docs/file0.html";

@@ -21,6 +21,7 @@
 #include <thread>
 
 #include "runtime/chaos.h"
+#include "runtime/clock.h"
 #include "runtime/socket.h"
 
 namespace sweb::runtime {
@@ -147,28 +148,31 @@ TEST(SignalStorm, GatherWriteDeliversEveryByteIntact) {
 TEST(ThrottleToZero, ClampReportsZeroAndSliceUnderOneBytePerSlice) {
   FaultPlan plan;
   plan.throttle_bytes_per_sec = 4;  // under one byte per 125 ms slice
-  ConnectionFaults faults(plan, /*seed=*/1, /*doomed=*/false, nullptr);
-  const auto t0 = std::chrono::steady_clock::now();
+  ManualClock clock;
+  ConnectionFaults faults(plan, /*seed=*/1, /*doomed=*/false, nullptr, clock);
+  const auto t0 = clock.now();
   // The clamp rounds to zero bytes: the read waits one slice...
-  const auto zero = faults.gate_read(16 * 1024, t0);
+  const auto zero = faults.gate_read(16 * 1024);
   ASSERT_TRUE(zero.retry_at.has_value());
   EXPECT_EQ(*zero.retry_at - t0, 125ms);
   // ...then moves the minimum one byte.
-  const auto t1 = t0 + 125ms;
-  const auto one = faults.gate_read(16 * 1024, t1);
+  clock.advance(125ms);
+  const auto t1 = clock.now();
+  const auto one = faults.gate_read(16 * 1024);
   EXPECT_FALSE(one.retry_at.has_value());
   EXPECT_EQ(one.budget, 1u);
   // Completed bytes become pacing debt the next op waits out:
   // 1 byte at 4 B/s = 250 ms.
-  faults.note_read(1, t1);
-  const auto paced = faults.gate_read(16 * 1024, t1);
+  faults.note_read(1);
+  const auto paced = faults.gate_read(16 * 1024);
   ASSERT_TRUE(paced.retry_at.has_value());
   EXPECT_EQ(*paced.retry_at - t1, 250ms);
 }
 
 /// A connected pair whose client side carries a sub-byte-per-slice
-/// throttle.
+/// throttle, pacing on `clock`.
 struct ThrottledPair {
+  ManualClock clock;
   TcpListener listener{0};
   std::optional<TcpStream> client;
   std::optional<TcpStream> server;
@@ -181,7 +185,7 @@ struct ThrottledPair {
     FaultPlan plan;
     plan.throttle_bytes_per_sec = 4;  // every clamp comes back 0
     client->set_faults(std::make_shared<ConnectionFaults>(
-        plan, /*seed=*/1, /*doomed=*/false, nullptr));
+        plan, /*seed=*/1, /*doomed=*/false, nullptr, clock));
   }
 };
 
@@ -200,17 +204,19 @@ TEST(ThrottleToZero, GatherWriteSurvivesZeroClampAndPacesBytes) {
     std::size_t count = 0;
     if (sent < 4) rest[count++] = segments[0].substr(sent);
     rest[count++] = segments[1].substr(sent > 4 ? sent - 4 : 0);
-    const auto before = std::chrono::steady_clock::now();
+    const auto t = pair.clock.now();
     const auto w = pair.client->write_some_v_nb(rest, count);
-    const auto after = std::chrono::steady_clock::now();
     ASSERT_TRUE(w.ok);
     if (w.retry_at) {
       if (holds == 0) {
-        EXPECT_GE(*w.retry_at, before + 125ms);  // one throttle slice
-        EXPECT_LE(*w.retry_at, after + 125ms);
+        EXPECT_EQ(*w.retry_at - t, 125ms);  // one throttle slice
       }
       ++holds;
-      std::this_thread::sleep_until(*w.retry_at);
+      // Held until exactly retry_at: a millisecond early still answers it.
+      pair.clock.advance(*w.retry_at - t - 1ms);
+      EXPECT_EQ(pair.client->write_some_v_nb(rest, count).retry_at,
+                w.retry_at);
+      pair.clock.advance(1ms);
       continue;
     }
     EXPECT_EQ(w.written, 1u);
@@ -239,10 +245,13 @@ TEST(ThrottleToZero, ReadSomeSurvivesZeroClamp) {
   // A zero read clamp must never recv(fd, buf, 0) — that return of 0 would
   // be indistinguishable from EOF. The read is held one slice, then reads
   // exactly one byte.
+  const auto t0 = pair.clock.now();
   const auto held = pair.client->read_nb(1024);
   ASSERT_TRUE(held.ok);
-  ASSERT_TRUE(held.retry_at.has_value());
-  std::this_thread::sleep_until(*held.retry_at);
+  EXPECT_EQ(held.retry_at, t0 + 125ms);
+  pair.clock.advance(124ms);
+  EXPECT_EQ(pair.client->read_nb(1024).retry_at, held.retry_at);
+  pair.clock.advance(1ms);
   const auto first = pair.client->read_nb(1024);
   ASSERT_TRUE(first.ok);
   EXPECT_FALSE(first.eof);

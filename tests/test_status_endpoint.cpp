@@ -5,32 +5,15 @@
 #include <chrono>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "fs/docbase.h"
 #include "obs/json.h"
 #include "runtime/client.h"
 #include "runtime/mini_cluster.h"
+#include "runtime_test_support.h"
 
 namespace sweb::runtime {
 namespace {
-
-fs::Docbase small_docbase(int nodes) {
-  return fs::make_uniform(12, 4096, nodes, fs::Placement::kRoundRobin,
-                          nullptr, "/docs");
-}
-
-/// Polls `predicate` until it holds or a 2 s deadline passes.
-template <typename Predicate>
-[[nodiscard]] bool eventually(Predicate predicate) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  while (!predicate()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return true;
-}
 
 std::string status_url(const MiniCluster& cluster, int node) {
   return "http://127.0.0.1:" + std::to_string(cluster.port(node)) +

@@ -11,52 +11,15 @@
 #include <vector>
 
 #include "fs/docbase.h"
-#include "http/parser.h"
 #include "runtime/client.h"
 #include "runtime/mini_cluster.h"
 #include "runtime/socket.h"
+#include "runtime_test_support.h"
 
 namespace sweb::runtime {
 namespace {
 
 using namespace std::chrono_literals;
-
-fs::Docbase small_docbase(int nodes) {
-  return fs::make_uniform(12, 4096, nodes, fs::Placement::kRoundRobin,
-                          nullptr, "/docs");
-}
-
-/// Spins until `predicate` holds or `timeout` passes; true on success.
-template <typename Predicate>
-[[nodiscard]] bool eventually(Predicate predicate,
-                              std::chrono::milliseconds timeout = 2000ms) {
-  const Deadline deadline = deadline_after(timeout);
-  while (!predicate()) {
-    if (time_remaining(deadline) <= 0ms) return false;
-    std::this_thread::sleep_for(2ms);
-  }
-  return true;
-}
-
-/// Reads one full HTTP response off `stream` (EOF-framed or
-/// Content-Length-framed).
-[[nodiscard]] http::Response read_response(TcpStream& stream) {
-  http::ResponseParser parser;
-  http::ParseResult state = http::ParseResult::kNeedMore;
-  while (state == http::ParseResult::kNeedMore) {
-    const auto chunk = stream.read_some(16 * 1024, 2000ms);
-    EXPECT_TRUE(chunk.ok);
-    if (!chunk.ok) break;
-    if (chunk.eof) {
-      state = parser.finish_eof();
-      break;
-    }
-    std::size_t consumed = 0;
-    state = parser.feed(chunk.data, consumed);
-  }
-  EXPECT_EQ(state, http::ParseResult::kComplete);
-  return parser.message();
-}
 
 TEST(WorkerPool, StalledClientDoesNotBlockOtherClients) {
   // One node, a handful of workers, a client that connects and then sends
